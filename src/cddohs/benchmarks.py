@@ -207,27 +207,21 @@ SPECS: dict[str, BenchmarkSpec] = {
         BenchmarkSpec("F11", _M, 10, -600, 600, 0.0, f11_griewank, minimizer=(0.0,) * 10),
         BenchmarkSpec("F12", _M, 10, -50, 50, 0.0, f12_penalized1, minimizer=(-1.0,) * 10),
         BenchmarkSpec("F13", _M, 30, -50, 50, 0.0, f13_penalized2, minimizer=(1.0,) * 30),
-        BenchmarkSpec("F14", _F, 2, -65, 65, 1.0, f14_foxholes, minimizer=(-32.0, -32.0)),
+        BenchmarkSpec("F14", _F, 2, -65, 65, 0.9980038, f14_foxholes, minimizer=(-32.0, -32.0)),
         BenchmarkSpec("F15", _F, 4, -5, 5, 0.0003, f15_kowalik,
                       minimizer=(0.192833, 0.190836, 0.123117, 0.135766)),
-        BenchmarkSpec("F16", _F, 2, -5, 5, -1.0316, f16_six_hump_camel,
+        BenchmarkSpec("F16", _F, 2, -5, 5, -1.0316285, f16_six_hump_camel,
                       minimizer=(0.089842, -0.712656)),
-        BenchmarkSpec("F17", _F, 2, -5, 5, 0.398, f17_branin, minimizer=(np.pi, 2.275)),
+        BenchmarkSpec("F17", _F, 2, -5, 5, 0.3978873, f17_branin, minimizer=(np.pi, 2.275)),
         BenchmarkSpec("F18", _F, 2, -2, 2, 3.0, f18_goldstein_price, minimizer=(0.0, -1.0)),
         # the canonical minimizer sits outside the table's printed [1,3] box;
         # certification probes the formula, the box only constrains the search
-        BenchmarkSpec("F19", _F, 3, 1, 3, -3.86, f19_hartmann3,
+        BenchmarkSpec("F19", _F, 3, 1, 3, -3.862783, f19_hartmann3,
                       minimizer=(0.114614, 0.555649, 0.852547)),
     ]
 }
 
 FUNCTION_IDS = [f"F{i}" for i in range(1, 20)]
-
-# Canonical Hartmann-3 minimizer sits in [0,1]^3, outside the table's [1,3] box;
-# kept here for the formula certification test.
-HARTMANN3_CANONICAL_MINIMIZER = (0.114614, 0.555649, 0.852547)
-HARTMANN3_CANONICAL_MIN = -3.86278
-
 
 def make_function(func_id: str) -> Problem:
     """Build the Problem for one of F1..F19."""
@@ -237,7 +231,7 @@ def make_function(func_id: str) -> Problem:
         raise KeyError(f"unknown benchmark id {func_id!r}; expected one of F1..F19") from None
     return Problem(
         id=s.id, dim=s.dim, lower=float(s.lower), upper=float(s.upper),
-        objective=s.fn, known_min=s.f_min, stochastic=s.stochastic,
+        objective=s.fn, stochastic=s.stochastic,
     )
 
 

@@ -10,7 +10,7 @@ elite) when its golden ratio is near phi, or stays put. An elite archive
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,7 +25,6 @@ SR_LR_LOW = (0.0, 0.5)
 
 @dataclass
 class CddoParams:
-    cr: float = 0.1  # creativity factor; kept for fidelity, unused by the update rule
     sr_lr_high: tuple[float, float] = SR_LR_HIGH
     sr_lr_low: tuple[float, float] = SR_LR_LOW
     pm_size: Optional[int] = None  # None -> ceil(0.2 * pop_size)
@@ -77,7 +76,6 @@ class CddoState:
     lbest: list[Candidate]
     gbest: Candidate
     pm: PatternMemory
-    iteration: int = 0
     evals: int = 0
 
 
@@ -128,16 +126,14 @@ def creativity_update(pm_entry: Candidate, gbest: Candidate, sr: float,
     return clamp(pm_entry.position + sr * gbest.position, problem)
 
 
-def init_state(problem: Problem, config: RunConfig, params: CddoParams,
-               rng, pm_size: Optional[int] = None) -> CddoState:
+def init_state(problem: Problem, config: RunConfig, params: CddoParams, rng) -> CddoState:
     from .core import init_population
 
     population = init_population(problem, config.pop_size, rng)
     lbest = [c.copy() for c in population]
     gbest = min(population, key=lambda c: c.fitness).copy()
-    capacity = pm_size if pm_size is not None else params.resolved_pm_size(config.pop_size)
-    pm = PatternMemory.from_population(population, capacity)
-    return CddoState(population, lbest, gbest, pm, iteration=0, evals=config.pop_size)
+    pm = PatternMemory.from_population(population, params.resolved_pm_size(config.pop_size))
+    return CddoState(population, lbest, gbest, pm, evals=config.pop_size)
 
 
 def cddo_step(state: CddoState, problem: Problem, params: CddoParams, rng) -> CddoState:
@@ -167,7 +163,6 @@ def cddo_step(state: CddoState, problem: Problem, params: CddoParams, rng) -> Cd
         if fit < state.gbest.fitness:
             state.gbest = agent.copy()
     state.pm.replace_worst_if_better(state.gbest)
-    state.iteration += 1
     return state
 
 
@@ -175,14 +170,13 @@ RefreshFn = Callable[[CddoState, Problem, np.random.Generator], None]
 
 
 def _run_engine(problem: Problem, config: RunConfig, params: CddoParams,
-                seed: int, pm_size: Optional[int] = None,
-                refresh: Optional[RefreshFn] = None) -> RunResult:
+                seed: int, refresh: Optional[RefreshFn] = None) -> RunResult:
     """Shared driver for CDDO and the hybrid (hybrid supplies a PM refresh hook)."""
     params.validate()
     if problem.dim < 2:
         raise ValueError("CDDO needs dim >= 2 (golden ratio uses two distinct components)")
     rng = make_rng(seed)
-    state = init_state(problem, config, params, rng, pm_size=pm_size)
+    state = init_state(problem, config, params, rng)
     trace = np.empty(config.max_iters)
     for t in range(config.max_iters):
         if refresh is not None:

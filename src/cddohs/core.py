@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -21,7 +21,6 @@ class Problem:
     lower: float
     upper: float
     objective: Callable[..., float]
-    known_min: Optional[float] = None
     stochastic: bool = False
 
     def __post_init__(self):

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
 import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -51,6 +51,10 @@ class ExperimentPlan:
         for fmt in self.formats:
             if fmt not in ("csv", "json"):
                 raise ValueError(f"unknown format {fmt!r}")
+        for kind, ids in (("algorithm", self.algorithms), ("function", self.functions)):
+            dups = sorted({i for i in ids if ids.count(i) > 1})
+            if dups:
+                raise ValueError(f"duplicate {kind} {', '.join(dups)}")
 
 
 def cell_seed(base_seed: int, algo: str, func: str) -> int:
@@ -71,20 +75,16 @@ def _fmt(value: float) -> str:
     return f"{value:.6e}"
 
 
-def _write_atomic(path: Path, text: str):
+def _write(path: Path, header: list[str], rows):
+    """Write one table atomically: CSV lines, or a JSON list of dicts, by suffix."""
+    if path.suffix == ".csv":
+        text = "\n".join([",".join(map(str, row)) for row in [header, *rows]]) + "\n"
+    else:
+        payload = [dict(zip(header, row)) for row in rows]
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_text(text)
     os.replace(tmp, path)
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]):
-    lines = [",".join(header)]
-    lines += [",".join(str(v) for v in row) for row in rows]
-    _write_atomic(path, "\n".join(lines) + "\n")
-
-
-def _write_json(path: Path, payload):
-    _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def run_experiment(plan: ExperimentPlan) -> dict:
@@ -101,8 +101,7 @@ def run_experiment(plan: ExperimentPlan) -> dict:
         for func in sorted(plan.functions, key=lambda f: int(f[1:])):
             cells[(algo, func)] = run_cell(algo, func, plan.config)
 
-    paths: list[Path] = []
-    summary_rows, summary_json = [], []
+    summary_rows = []
     for (algo, func), results in cells.items():
         fits = [r.best_fitness for r in results]
         s = summarize(fits)
@@ -110,11 +109,6 @@ def run_experiment(plan: ExperimentPlan) -> dict:
         summary_rows.append(
             [algo, func, _fmt(s.avg), _fmt(s.std), _fmt(min(fits)), _fmt(max(fits)),
              s.n, seed]
-        )
-        summary_json.append(
-            {"algo": algo, "func": func, "avg": _fmt(s.avg), "std": _fmt(s.std),
-             "best": _fmt(min(fits)), "worst": _fmt(max(fits)), "n_runs": s.n,
-             "seed": seed}
         )
 
     pvalue_rows = []
@@ -129,53 +123,27 @@ def run_experiment(plan: ExperimentPlan) -> dict:
                 )
                 pvalue_rows.append([func, a, b, _fmt(p)])
 
-    if "csv" in plan.formats:
-        _write_csv(out / "summary.csv", SUMMARY_HEADER, summary_rows)
-        paths.append(out / "summary.csv")
-        _write_csv(out / "pvalues.csv", PVALUES_HEADER, pvalue_rows)
-        paths.append(out / "pvalues.csv")
+    # CSV before JSON; convergence rows are built one cell at a time
+    paths: list[Path] = []
+    for fmt in [f for f in ("csv", "json") if f in plan.formats]:
+        tables = {"summary": (SUMMARY_HEADER, summary_rows),
+                  "pvalues": (PVALUES_HEADER, pvalue_rows)}
         for (algo, func), results in cells.items():
-            rows = [
-                [r_idx, t, _fmt(res.trace[t])]
-                for r_idx, res in enumerate(results)
-                for t in range(res.trace.size)
-            ]
-            p = out / f"convergence_{algo}_{func}.csv"
-            _write_csv(p, CONVERGENCE_HEADER, rows)
-            paths.append(p)
-    if "json" in plan.formats:
-        _write_json(out / "summary.json", summary_json)
-        paths.append(out / "summary.json")
-        _write_json(
-            out / "pvalues.json",
-            [dict(zip(PVALUES_HEADER, row)) for row in pvalue_rows],
-        )
-        paths.append(out / "pvalues.json")
-        for (algo, func), results in cells.items():
-            payload = [
-                {"run": r_idx, "iter": t, "gbest": _fmt(res.trace[t])}
-                for r_idx, res in enumerate(results)
-                for t in range(res.trace.size)
-            ]
-            p = out / f"convergence_{algo}_{func}.json"
-            _write_json(p, payload)
-            paths.append(p)
+            rows = ([r, t, _fmt(g)] for r, res in enumerate(results)
+                    for t, g in enumerate(res.trace.tolist()))
+            tables[f"convergence_{algo}_{func}"] = (CONVERGENCE_HEADER, rows)
+        for name, (header, rows) in tables.items():
+            paths.append(out / f"{name}.{fmt}")
+            _write(paths[-1], header, rows)
 
-    summary = {
-        (row["algo"], row["func"]): row for row in summary_json
-    }
+    summary = {(row[0], row[1]): dict(zip(SUMMARY_HEADER, row)) for row in summary_rows}
     return {"summary": summary, "paths": [str(p) for p in paths]}
 
 
 def load_summary_csv(path) -> dict:
     """Read a summary.csv back into {(algo, func): {column: value}}."""
-    lines = Path(path).read_text().strip().splitlines()
-    header = lines[0].split(",")
-    out = {}
-    for line in lines[1:]:
-        row = dict(zip(header, line.split(",")))
-        out[(row["algo"], row["func"])] = row
-    return out
+    with open(path, newline="") as fh:
+        return {(row["algo"], row["func"]): row for row in csv.DictReader(fh)}
 
 
 def compare_to_reference(summary: dict, table=None) -> dict:

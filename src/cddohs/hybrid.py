@@ -3,11 +3,10 @@ population) that a Harmony-Search improvisation refreshes every iteration."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Optional
-
-import numpy as np
 
 from .cddo import CddoParams, CddoState, PatternMemory, _run_engine
 from .core import Candidate, Problem, RunConfig, RunResult, evaluate
@@ -20,7 +19,6 @@ PM_FRACTION = 0.8
 class HybridParams:
     cddo: CddoParams = field(default_factory=CddoParams)
     hs: HsParams = field(default_factory=HsParams)
-    refreshes_per_iter: int = 1  # 0 disables the HS refresh (reduces to plain CDDO)
 
     def pm_size(self, pop_size: int) -> int:
         return math.ceil(PM_FRACTION * pop_size)
@@ -28,16 +26,10 @@ class HybridParams:
 
 def _improvise_refresh(pm: PatternMemory, hs_params: HsParams,
                        problem: Problem, rng) -> tuple[bool, Candidate]:
+    """Improvise one vector over the PM rows; keep it if it beats PM's worst."""
     pos = improvise_from([c.position for c in pm.entries], hs_params, problem, rng)
     cand = Candidate(pos, evaluate(problem, pos, rng))
     return pm.replace_worst_if_better(cand), cand
-
-
-def refresh_pattern_memory(pm: PatternMemory, hs_params: HsParams,
-                           problem: Problem, rng) -> bool:
-    """Improvise one vector over the PM rows; keep it if it beats PM's worst."""
-    replaced, _ = _improvise_refresh(pm, hs_params, problem, rng)
-    return replaced
 
 
 def cddo_hs_run(problem: Problem, config: RunConfig,
@@ -49,15 +41,11 @@ def cddo_hs_run(problem: Problem, config: RunConfig,
     def refresh(state: CddoState, prob: Problem, rng) -> None:
         # The improvised vector is an evaluated solution, so it also feeds the
         # global best (the loop updates gbest after the refresh each iteration).
-        for _ in range(params.refreshes_per_iter):
-            _, cand = _improvise_refresh(state.pm, params.hs, prob, rng)
-            state.evals += 1
-            if cand.fitness < state.gbest.fitness:
-                state.gbest = cand.copy()
+        _, cand = _improvise_refresh(state.pm, params.hs, prob, rng)
+        state.evals += 1
+        if cand.fitness < state.gbest.fitness:
+            state.gbest = cand.copy()
 
-    return _run_engine(
-        problem, config, params.cddo,
-        seed=config.seed_for_run(run_index),
-        pm_size=params.pm_size(config.pop_size),
-        refresh=refresh if params.refreshes_per_iter > 0 else None,
-    )
+    cddo_params = dataclasses.replace(params.cddo, pm_size=params.pm_size(config.pop_size))
+    return _run_engine(problem, config, cddo_params,
+                       seed=config.seed_for_run(run_index), refresh=refresh)

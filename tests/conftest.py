@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from cddohs.core import make_rng
@@ -7,27 +6,3 @@ from cddohs.core import make_rng
 @pytest.fixture
 def rng():
     return make_rng(12345)
-
-
-class RecordingRng:
-    """Wraps a numpy Generator and logs every scalar draw (for branch audits)."""
-
-    def __init__(self, seed):
-        self._rng = make_rng(seed)
-        self.random_calls = []
-        self.integer_calls = []
-
-    def random(self, *args, **kwargs):
-        v = self._rng.random(*args, **kwargs)
-        self.random_calls.append(v)
-        return v
-
-    def integers(self, *args, **kwargs):
-        v = self._rng.integers(*args, **kwargs)
-        self.integer_calls.append(v)
-        return v
-
-
-@pytest.fixture
-def recording_rng():
-    return RecordingRng(999)

@@ -35,10 +35,10 @@ class TestRegistry:
             assert SPECS[f"F{i}"].family == "fixed-dimension"
 
     def test_table_metadata(self):
-        f1 = make_function("F1")
-        assert (f1.dim, f1.lower, f1.upper, f1.known_min) == (10, -100, 100, 0)
-        f16 = make_function("F16")
-        assert (f16.dim, f16.lower, f16.upper, f16.known_min) == (2, -5, 5, -1.0316)
+        f1 = SPECS["F1"]
+        assert (f1.dim, f1.lower, f1.upper, f1.f_min) == (10, -100, 100, 0)
+        f16 = SPECS["F16"]
+        assert (f16.dim, f16.lower, f16.upper, f16.f_min) == (2, -5, 5, -1.0316285)
         f13 = make_function("F13")
         assert (f13.dim, f13.lower, f13.upper) == (30, -50, 50)
 
@@ -93,9 +93,20 @@ class TestKnownValues:
         assert evaluate_at("F15", x) == pytest.approx(0.0003075, abs=1e-4)
 
     def test_f19_hartmann_canonical(self):
-        x = np.array(benchmarks.HARTMANN3_CANONICAL_MINIMIZER)
-        assert benchmarks.f19_hartmann3(x) == pytest.approx(
-            benchmarks.HARTMANN3_CANONICAL_MIN, abs=1e-4)
+        s = SPECS["F19"]
+        assert benchmarks.f19_hartmann3(np.array(s.minimizer)) == pytest.approx(s.f_min, abs=1e-4)
+
+    # minimisers polished with Nelder-Mead from the listed ones (F14 from the
+    # foxhole near (-32, -32))
+    @pytest.mark.parametrize("fid, x", [
+        ("F14", (-31.9783345, -31.9783408)),
+        ("F16", (0.089842, -0.7126564)),
+        ("F17", (3.1415927, 2.275)),
+        ("F19", (0.1146143, 0.5556489, 0.852547)),
+    ])
+    def test_f_min_is_a_tight_lower_bound(self, fid, x):
+        f_min = SPECS[fid].f_min
+        assert f_min <= evaluate_at(fid, x) < f_min + 1e-6
 
     def test_f8_schwefel_standard_form(self):
         # -x*sin(sqrt|x|) at the canonical minimizer, dim 30

@@ -38,6 +38,16 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             ExperimentPlan(algorithms=[], functions=["F1"], config=TINY).validate()
 
+    def test_duplicate_algorithm(self):
+        plan = ExperimentPlan(algorithms=["cddo", "cddo"], functions=["F16"], config=TINY)
+        with pytest.raises(ValueError, match="duplicate algorithm cddo"):
+            plan.validate()
+
+    def test_duplicate_function(self):
+        plan = ExperimentPlan(algorithms=["hs"], functions=["F16", "F1", "F16"], config=TINY)
+        with pytest.raises(ValueError, match="duplicate function F16"):
+            plan.validate()
+
 
 class TestSeeding:
     def test_cell_seeds_differ_across_cells(self):
@@ -85,22 +95,31 @@ class TestArtifacts:
         assert len(rows) == TINY.n_runs * TINY.max_iters
         assert set(rows[0]) == {"run", "iter", "gbest"}
 
-    def test_csv_json_content_parity(self, tiny_outputs):
+    @pytest.mark.parametrize("table", ["summary", "pvalues", "convergence_cddo-hs_F16"])
+    def test_csv_json_content_parity(self, tiny_outputs, table):
         out, _ = tiny_outputs
-        csv_rows = load_summary_csv(out / "summary.csv")
-        json_rows = {(r["algo"], r["func"]): r for r in json.loads((out / "summary.json").read_text())}
-        assert set(csv_rows) == set(json_rows)
-        for key, row in csv_rows.items():
-            for col in ("avg", "std", "best", "worst"):
-                assert float(row[col]) == float(json_rows[key][col])
+        with open(out / f"{table}.csv", newline="") as fh:
+            csv_rows = list(csv.DictReader(fh))
+        json_rows = json.loads((out / f"{table}.json").read_text())
+        assert len(csv_rows) == len(json_rows) > 0
+        for c, j in zip(csv_rows, json_rows):
+            # JSON keeps integer columns as numbers; every field prints the same
+            assert c == {k: str(v) for k, v in j.items()}
 
     def test_rerun_is_byte_identical(self, tiny_outputs, tmp_path):
         out, _ = tiny_outputs
         plan = ExperimentPlan(algorithms=["cddo", "hs", "cddo-hs"], functions=["F1", "F16"],
                               config=TINY, output_dir=tmp_path)
         run_experiment(plan)
-        for name in ("summary.csv", "pvalues.csv", "convergence_cddo-hs_F16.csv"):
-            assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
+        for table in ("summary", "pvalues", "convergence_cddo-hs_F16"):
+            for suffix in (".csv", ".json"):
+                name = table + suffix
+                assert (tmp_path / name).read_bytes() == (out / name).read_bytes()
+
+    def test_csv_paths_precede_json_paths(self, tiny_outputs):
+        _, result = tiny_outputs
+        suffixes = [Path(p).suffix for p in result["paths"]]
+        assert suffixes == [".csv"] * 8 + [".json"] * 8
 
 
 class TestCompare:
@@ -130,13 +149,20 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("CDDO-HS")
 
-    def test_run_and_compare_roundtrip(self, tmp_path, capsys):
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_run_and_compare_roundtrip(self, tmp_path, capsys, fmt):
         rc = main(["run", "--algo", "hs,cddo-hs", "--func", "F16", "--pop", "8",
                    "--iters", "15", "--runs", "3", "--seed", "1",
-                   "--out", str(tmp_path), "--format", "csv"])
+                   "--out", str(tmp_path), "--format", fmt])
         assert rc == 0
-        assert (tmp_path / "summary.csv").exists()
-        assert not (tmp_path / "summary.json").exists()
+        assert (tmp_path / f"summary.{fmt}").exists()
+        assert len(list(tmp_path.iterdir())) == 4  # summary, pvalues, two convergence
+        if fmt == "json":  # compare reads CSV: rebuild it from the JSON rows
+            rows = json.loads((tmp_path / "summary.json").read_text())
+            with open(tmp_path / "summary.csv", "w", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+                writer.writeheader()
+                writer.writerows(rows)
         rc = main(["compare", "--summary", str(tmp_path / "summary.csv")])
         assert rc == 0
         assert "wins vs hs" in capsys.readouterr().out
@@ -146,6 +172,12 @@ class TestCli:
                    "--out", str(tmp_path)])
         assert rc == 2
         assert "unknown algorithm" in capsys.readouterr().err
+
+    def test_duplicate_algo_exit_code(self, tmp_path, capsys):
+        rc = main(["run", "--algo", "cddo,cddo", "--func", "F16", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "duplicate algorithm cddo" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_unwritable_output_dir(self, capsys):
         rc = main(["run", "--algo", "hs", "--func", "F16", "--pop", "5",

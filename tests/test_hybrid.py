@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
+from cddohs import hybrid
 from cddohs.benchmarks import make_function
 from cddohs.cddo import CddoParams, Candidate, PatternMemory, cddo_run, init_state
 from cddohs.core import RunConfig, make_rng
 from cddohs.hs import HsParams
-from cddohs.hybrid import HybridParams, cddo_hs_run, refresh_pattern_memory
+from cddohs.hybrid import HybridParams, _improvise_refresh, cddo_hs_run
 
 
 def _pm(positions):
@@ -18,7 +21,7 @@ class TestRefresh:
         p = make_function("F1")
         pm = _pm([np.full(10, 3.0)] * 4)
         params = HsParams(hmcr=1.0, par=0.0)
-        assert not refresh_pattern_memory(pm, params, p, make_rng(1))
+        assert not _improvise_refresh(pm, params, p, make_rng(1))[0]
 
     def test_pure_random_ignores_pm(self):
         p = make_function("F1")
@@ -27,7 +30,7 @@ class TestRefresh:
         # with hmcr=0 the improvised vector is uniform in bounds; a uniform
         # draw over [-100,100]^10 beats a PM stuck at 99-vectors essentially always
         hits = sum(
-            refresh_pattern_memory(_pm([np.full(10, 99.0)] * 4), HsParams(hmcr=0.0), p, make_rng(s))
+            _improvise_refresh(_pm([np.full(10, 99.0)] * 4), HsParams(hmcr=0.0), p, make_rng(s))[0]
             for s in range(20)
         )
         assert hits == 20
@@ -39,7 +42,7 @@ class TestRefresh:
         params = HsParams(hmcr=0.0)
         improved = 0
         for _ in range(1000):
-            if refresh_pattern_memory(pm, params, p, rng):
+            if _improvise_refresh(pm, params, p, rng)[0]:
                 improved += 1
         assert improved >= 1
 
@@ -47,11 +50,11 @@ class TestRefresh:
         p = make_function("F9")
         rng = make_rng(4)
         cfg = RunConfig(pop_size=10, base_seed=4)
-        state = init_state(p, cfg, CddoParams(), rng, pm_size=8)
+        state = init_state(p, cfg, CddoParams(pm_size=8), rng)
         params = HsParams()
         for _ in range(300):
             worst_before = max(c.fitness for c in state.pm.entries)
-            refresh_pattern_memory(state.pm, params, p, rng)
+            _improvise_refresh(state.pm, params, p, rng)
             assert max(c.fitness for c in state.pm.entries) <= worst_before
 
 
@@ -79,14 +82,19 @@ class TestHybridRun:
         assert r.evals <= cfg.pop_size * (cfg.max_iters + 1) + cfg.max_iters
         assert r.evals >= cfg.pop_size + cfg.max_iters
 
-    def test_reduces_to_cddo_when_refresh_disabled(self):
+    def test_reduces_to_cddo_when_refresh_disabled(self, monkeypatch):
+        # A refresh that draws nothing and never improves leaves plain CDDO
+        # with an 80% pattern memory, plus one counted evaluation per iteration.
+        def inert_refresh(pm, hs_params, problem, rng):
+            return False, Candidate(np.zeros(problem.dim), math.inf)
+
+        monkeypatch.setattr(hybrid, "_improvise_refresh", inert_refresh)
         p = make_function("F9")
         cfg = RunConfig(pop_size=16, max_iters=120, base_seed=123)
-        pm_size = HybridParams().pm_size(cfg.pop_size)
-        hybrid = cddo_hs_run(p, cfg, HybridParams(refreshes_per_iter=0))
-        plain = cddo_run(p, cfg, CddoParams(pm_size=pm_size))
-        assert np.array_equal(hybrid.trace, plain.trace)
-        assert hybrid.evals == plain.evals
+        hyb = cddo_hs_run(p, cfg)
+        plain = cddo_run(p, cfg, CddoParams(pm_size=math.ceil(0.8 * cfg.pop_size)))
+        assert np.array_equal(hyb.trace, plain.trace)
+        assert hyb.evals == plain.evals + cfg.max_iters
 
     def test_beats_hs_on_sphere(self):
         # direction of the published comparison, small-scale smoke version
