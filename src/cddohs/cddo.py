@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Candidate, Problem, RunConfig, RunResult, clamp, evaluate, make_rng, uniform
+from .core import Archive, Problem, RunConfig, RunResult, clamp, evaluate, make_rng, uniform
 
 PHI = 1.618
 
@@ -45,37 +45,15 @@ class CddoParams:
 
 
 @dataclass
-class PatternMemory:
-    """Fixed-capacity elite archive, worst-replacement policy."""
-
-    entries: list[Candidate]
-    capacity: int
-
-    @classmethod
-    def from_population(cls, population: list[Candidate], capacity: int) -> "PatternMemory":
-        best = sorted(population, key=lambda c: c.fitness)[:capacity]
-        return cls([c.copy() for c in best], capacity)
-
-    def worst_index(self) -> int:
-        return max(range(len(self.entries)), key=lambda i: self.entries[i].fitness)
-
-    def best_fitness(self) -> float:
-        return min(c.fitness for c in self.entries)
-
-    def replace_worst_if_better(self, candidate: Candidate) -> bool:
-        w = self.worst_index()
-        if candidate.fitness < self.entries[w].fitness:
-            self.entries[w] = candidate.copy()
-            return True
-        return False
-
-
-@dataclass
 class CddoState:
-    population: list[Candidate]
-    lbest: list[Candidate]
-    gbest: Candidate
-    pm: PatternMemory
+    # A move always builds a new array and no position is changed in place, so
+    # agents, their bests and gbest may share one array without copies.
+    x: list[np.ndarray]
+    lbest_x: list[np.ndarray]
+    lbest_f: list[float]
+    gbest_x: np.ndarray
+    gbest_f: float
+    pm: Archive
     evals: int = 0
 
 
@@ -84,18 +62,17 @@ def random_hand_pressure(problem: Problem, rng) -> float:
     return uniform(rng, problem.lower, problem.upper)
 
 
-def select_hand_pressure(x: Candidate, rng) -> float:
+def select_hand_pressure(x: np.ndarray, rng) -> float:
     """HP: a uniformly chosen component of the current position."""
-    return float(x.position[rng.integers(x.position.size)])
+    return float(x[rng.integers(x.size)])
 
 
-def golden_ratio(x: Candidate, rng) -> float:
+def golden_ratio(pos: np.ndarray, rng) -> float:
     """(pos[M] + pos[N]) / pos[M] for random distinct indices M != N.
 
     A zero denominator is resampled once; if still zero, returns phi so the
     agent falls into the creativity branch rather than dividing by zero.
     """
-    pos = x.position
     if pos.size < 2:
         raise ValueError("golden ratio needs dim >= 2")
     for _ in range(2):
@@ -108,7 +85,7 @@ def golden_ratio(x: Candidate, rng) -> float:
     return PHI
 
 
-def skill_update(x: Candidate, lbest: Candidate, gbest: Candidate,
+def skill_update(x: np.ndarray, lbest: np.ndarray, gbest: np.ndarray,
                  gr: float, sr: float, lr: float, problem: Problem) -> np.ndarray:
     """Skill-branch move: position scaled by gr plus pulls toward both bests.
 
@@ -116,53 +93,51 @@ def skill_update(x: Candidate, lbest: Candidate, gbest: Candidate,
     drawing) rather than being added to it; the additive reading cannot
     contract and demonstrably stalls far above the published optima.
     """
-    new = gr * x.position + sr * (lbest.position - x.position) + lr * (gbest.position - x.position)
+    new = gr * x + sr * (lbest - x) + lr * (gbest - x)
     return clamp(new, problem)
 
 
-def creativity_update(pm_entry: Candidate, gbest: Candidate, sr: float,
+def creativity_update(pm_entry: np.ndarray, gbest: np.ndarray, sr: float,
                       problem: Problem) -> np.ndarray:
     """Creativity-branch move: a pattern-memory elite shifted by sr * gbest."""
-    return clamp(pm_entry.position + sr * gbest.position, problem)
+    return clamp(pm_entry + sr * gbest, problem)
 
 
 def init_state(problem: Problem, config: RunConfig, params: CddoParams, rng) -> CddoState:
     from .core import init_population
 
-    population = init_population(problem, config.pop_size, rng)
-    lbest = [c.copy() for c in population]
-    gbest = min(population, key=lambda c: c.fitness).copy()
-    pm = PatternMemory.from_population(population, params.resolved_pm_size(config.pop_size))
-    return CddoState(population, lbest, gbest, pm, evals=config.pop_size)
+    x, f = init_population(problem, config.pop_size, rng)
+    g = int(np.argmin(f))
+    pm = Archive.best_of(x, f, params.resolved_pm_size(config.pop_size))
+    return CddoState(list(x), list(x), f.tolist(), x[g], float(f[g]), pm, evals=config.pop_size)
 
 
 def cddo_step(state: CddoState, problem: Problem, params: CddoParams, rng) -> CddoState:
     """One iteration over all agents; mutates and returns state."""
     hi_lo, hi_hi = params.sr_lr_high
     lo_lo, lo_hi = params.sr_lr_low
-    for i, agent in enumerate(state.population):
+    for i, x in enumerate(state.x):
         rhp = random_hand_pressure(problem, rng)
-        hp = select_hand_pressure(agent, rng)
-        gr = golden_ratio(agent, rng)
+        hp = select_hand_pressure(x, rng)
+        gr = golden_ratio(x, rng)
         if hp < rhp:
             sr = uniform(rng, hi_lo, hi_hi)
             lr = uniform(rng, hi_lo, hi_hi)
-            new_pos = skill_update(agent, state.lbest[i], state.gbest, gr, sr, lr, problem)
+            new_pos = skill_update(x, state.lbest_x[i], state.gbest_x, gr, sr, lr, problem)
         elif abs(gr - PHI) <= params.gr_tolerance:
             sr = uniform(rng, lo_lo, lo_hi)
-            entry = state.pm.entries[rng.integers(len(state.pm.entries))]
-            new_pos = creativity_update(entry, state.gbest, sr, problem)
+            entry = state.pm.x[rng.integers(len(state.pm.f))]
+            new_pos = creativity_update(entry, state.gbest_x, sr, problem)
         else:
             continue  # neither condition holds: the drawing rests this round
         fit = evaluate(problem, new_pos, rng)
         state.evals += 1
-        agent.position = new_pos
-        agent.fitness = fit
-        if fit < state.lbest[i].fitness:
-            state.lbest[i] = agent.copy()
-        if fit < state.gbest.fitness:
-            state.gbest = agent.copy()
-    state.pm.replace_worst_if_better(state.gbest)
+        state.x[i] = new_pos
+        if fit < state.lbest_f[i]:
+            state.lbest_x[i], state.lbest_f[i] = new_pos, fit
+        if fit < state.gbest_f:
+            state.gbest_x, state.gbest_f = new_pos, fit
+    state.pm.replace_worst(state.gbest_x, state.gbest_f)
     return state
 
 
@@ -182,10 +157,10 @@ def _run_engine(problem: Problem, config: RunConfig, params: CddoParams,
         if refresh is not None:
             refresh(state, problem, rng)
         cddo_step(state, problem, params, rng)
-        trace[t] = state.gbest.fitness
+        trace[t] = state.gbest_f
     return RunResult(
-        best_fitness=state.gbest.fitness,
-        best_position=state.gbest.position.copy(),
+        best_fitness=state.gbest_f,
+        best_position=state.gbest_x.copy(),
         trace=trace,
         seed=seed,
         evals=state.evals,

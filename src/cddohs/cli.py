@@ -10,7 +10,7 @@ from pathlib import Path
 from . import reference
 from .benchmarks import FUNCTION_IDS, SPECS
 from .core import RunConfig
-from .harness import ALGORITHMS, ExperimentPlan, compare_to_reference, load_summary_csv, run_experiment
+from .harness import ALGORITHMS, ExperimentPlan, compare_to_reference, load_summary, run_experiment
 from .stats import rank_algorithms
 
 
@@ -51,7 +51,7 @@ def cmd_compare(args) -> int:
     if args.reference != "table2":
         print(f"error: unknown reference {args.reference!r}", file=sys.stderr)
         return 2
-    summary = load_summary_csv(args.summary)
+    summary = load_summary(args.summary)
     report = compare_to_reference(summary)
     cols = ["func", "measured_cddo-hs", "ref_cddo-hs", "agree_vs_cddo",
             "agree_vs_hs", "log10_gap"]
@@ -105,8 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--format", choices=["csv", "json", "both"], default="both")
     p_run.set_defaults(fn=cmd_run)
 
-    p_cmp = sub.add_parser("compare", help="compare a summary.csv to the published table")
-    p_cmp.add_argument("--summary", required=True)
+    p_cmp = sub.add_parser("compare", help="compare a summary.csv or .json to the published table")
+    p_cmp.add_argument("--summary", required=True, help="summary.csv or summary.json from run")
     p_cmp.add_argument("--reference", default="table2")
     p_cmp.set_defaults(fn=cmd_compare)
 

@@ -1,7 +1,8 @@
-"""Shared problem/candidate/run abstractions used by every optimizer."""
+"""Shared problem, elite-archive and run abstractions used by every optimizer."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -31,12 +32,26 @@ class Problem:
 
 
 @dataclass
-class Candidate:
-    position: np.ndarray
-    fitness: float
+class Archive:
+    """Fixed-size elite set (pattern memory, harmony memory): x (k, d), f (k,)."""
 
-    def copy(self) -> "Candidate":
-        return Candidate(self.position.copy(), self.fitness)
+    x: np.ndarray
+    f: np.ndarray
+
+    @classmethod
+    def best_of(cls, x: np.ndarray, f: np.ndarray, k: int) -> "Archive":
+        """The k best rows; equal fitness keeps input order (stable sort)."""
+        keep = np.argsort(f, kind="stable")[:k]
+        return cls(x[keep], f[keep])
+
+    def replace_worst(self, position: np.ndarray, fitness: float) -> bool:
+        """Overwrite the first worst row when ``fitness`` is strictly better."""
+        w = int(np.argmax(self.f))
+        if fitness < self.f[w]:
+            self.x[w] = position
+            self.f[w] = fitness
+            return True
+        return False
 
 
 @dataclass(frozen=True)
@@ -79,18 +94,27 @@ def clamp(position: np.ndarray, problem: Problem) -> np.ndarray:
 
 
 def evaluate(problem: Problem, position: np.ndarray, rng: Optional[np.random.Generator] = None) -> float:
-    """Evaluate the objective; stochastic objectives draw their noise from rng."""
+    """Evaluate the objective; stochastic objectives draw their noise from rng.
+
+    NaN has no place in a ranking, so it raises; +inf is kept and ranks last.
+    """
     if problem.stochastic:
         if rng is None:
             raise ValueError(f"{problem.id} is stochastic and needs an RNG")
-        return float(problem.objective(position, rng))
-    return float(problem.objective(position))
+        value = float(problem.objective(position, rng))
+    else:
+        value = float(problem.objective(position))
+    if math.isnan(value):
+        raise ValueError(f"{problem.id}: objective returned NaN")
+    return value
 
 
-def init_population(problem: Problem, n: int, rng: np.random.Generator) -> list[Candidate]:
-    """n candidates drawn uniformly in the box, each evaluated once."""
-    pop = []
-    for _ in range(n):
-        pos = problem.lower + (problem.upper - problem.lower) * rng.random(problem.dim)
-        pop.append(Candidate(pos, evaluate(problem, pos, rng)))
-    return pop
+def init_population(problem: Problem, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (n, dim) uniform in the box and their fitness (n,). Each row is
+    evaluated before the next is drawn: stochastic objectives share the stream."""
+    x = np.empty((n, problem.dim))
+    f = np.empty(n)
+    for i in range(n):
+        x[i] = problem.lower + (problem.upper - problem.lower) * rng.random(problem.dim)
+        f[i] = evaluate(problem, x[i], rng)
+    return x, f

@@ -140,10 +140,14 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     return {"summary": summary, "paths": [str(p) for p in paths]}
 
 
-def load_summary_csv(path) -> dict:
-    """Read a summary.csv back into {(algo, func): {column: value}}."""
+def load_summary(path) -> dict:
+    """Read a summary.csv or summary.json, by suffix, into {(algo, func): {column: value}}."""
     with open(path, newline="") as fh:
-        return {(row["algo"], row["func"]): row for row in csv.DictReader(fh)}
+        rows = json.load(fh) if Path(path).suffix == ".json" else csv.DictReader(fh)
+        try:
+            return {(row["algo"], row["func"]): row for row in rows}
+        except TypeError:  # JSON that is not a list of row objects
+            raise ValueError(f"{path}: not a list of summary rows") from None
 
 
 def compare_to_reference(summary: dict, table=None) -> dict:

@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Candidate, Problem, RunConfig, RunResult, evaluate, make_rng, uniform
+from .core import Archive, Problem, RunConfig, RunResult, evaluate, make_rng, uniform
 
 
 @dataclass
@@ -15,40 +15,20 @@ class HsParams:
     hmcr: float = 0.995  # per-component probability of copying from memory
     par: float = 0.1     # pitch adjustment probability, given a memory copy
     bw: float = 0.04     # absolute perturbation bandwidth
-    hms: Optional[int] = None  # harmony memory size; None -> pop_size
 
     def __post_init__(self):
         if not (0.0 <= self.hmcr <= 1.0 and 0.0 <= self.par <= 1.0):
             raise ValueError("hmcr and par must lie in [0, 1]")
 
-    def resolved_hms(self, pop_size: int) -> int:
-        return self.hms if self.hms is not None else pop_size
+
+class HarmonyMemory(Archive):
+    """The HS archive (pop_size rows). A class of its own so that wrapping
+    ``HarmonyMemory.replace_worst`` counts HS acceptances only, not the
+    pattern-memory replacements of CDDO and the hybrid."""
 
 
-@dataclass
-class HarmonyMemory:
-    rows: list[Candidate]
-
-    @property
-    def worst_index(self) -> int:
-        return max(range(len(self.rows)), key=lambda i: self.rows[i].fitness)
-
-    @property
-    def best_index(self) -> int:
-        return min(range(len(self.rows)), key=lambda i: self.rows[i].fitness)
-
-    def replace_worst(self, candidate: Candidate) -> bool:
-        """Overwrite the worst row when the candidate is strictly better."""
-        w = self.worst_index
-        if candidate.fitness < self.rows[w].fitness:
-            self.rows[w] = candidate.copy()
-            return True
-        return False
-
-
-def improvise_from(positions: list[np.ndarray], params: HsParams,
-                   problem: Problem, rng) -> np.ndarray:
-    """Compose one new vector per-dimension from the given memory rows.
+def improvise(positions: np.ndarray, params: HsParams, problem: Problem, rng) -> np.ndarray:
+    """Compose one new vector per-dimension from the memory rows ``positions``.
 
     Each component: with prob hmcr copy it from a random row (then with prob
     par nudge it by uniform(-1,1)*bw), otherwise redraw uniformly in bounds.
@@ -57,7 +37,7 @@ def improvise_from(positions: list[np.ndarray], params: HsParams,
     new = np.empty(problem.dim)
     for k in range(problem.dim):
         if rng.random() <= params.hmcr:
-            v = float(positions[rng.integers(m)][k])
+            v = float(positions[rng.integers(m), k])
             if rng.random() <= params.par:
                 v += uniform(rng, -1.0, 1.0) * params.bw
         else:
@@ -66,33 +46,25 @@ def improvise_from(positions: list[np.ndarray], params: HsParams,
     return np.clip(new, problem.lower, problem.upper)
 
 
-def improvise(hm: HarmonyMemory, params: HsParams, problem: Problem, rng) -> np.ndarray:
-    return improvise_from([c.position for c in hm.rows], params, problem, rng)
-
-
 def hs_run(problem: Problem, config: RunConfig, params: Optional[HsParams] = None,
            run_index: int = 0) -> RunResult:
-    """One full HS run; evals == hms + max_iters."""
+    """One full HS run; evals == pop_size + max_iters."""
     from .core import init_population
 
     params = params or HsParams()
     seed = config.seed_for_run(run_index)
     rng = make_rng(seed)
-    hms = params.resolved_hms(config.pop_size)
-    hm = HarmonyMemory(init_population(problem, hms, rng))
-    evals = hms
+    hm = HarmonyMemory(*init_population(problem, config.pop_size, rng))
     trace = np.empty(config.max_iters)
     for t in range(config.max_iters):
-        pos = improvise(hm, params, problem, rng)
-        cand = Candidate(pos, evaluate(problem, pos, rng))
-        evals += 1
-        hm.replace_worst(cand)
-        trace[t] = hm.rows[hm.best_index].fitness
-    best = hm.rows[hm.best_index]
+        pos = improvise(hm.x, params, problem, rng)
+        hm.replace_worst(pos, evaluate(problem, pos, rng))
+        trace[t] = hm.f.min()
+    best = int(np.argmin(hm.f))
     return RunResult(
-        best_fitness=best.fitness,
-        best_position=best.position.copy(),
+        best_fitness=float(hm.f[best]),
+        best_position=hm.x[best].copy(),
         trace=trace,
         seed=seed,
-        evals=evals,
+        evals=config.pop_size + config.max_iters,
     )

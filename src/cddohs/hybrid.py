@@ -8,9 +8,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .cddo import CddoParams, CddoState, PatternMemory, _run_engine
-from .core import Candidate, Problem, RunConfig, RunResult, evaluate
-from .hs import HsParams, improvise_from
+import numpy as np
+
+from .cddo import CddoParams, CddoState, _run_engine
+from .core import Archive, Problem, RunConfig, RunResult, evaluate
+from .hs import HsParams, improvise
 
 PM_FRACTION = 0.8
 
@@ -24,12 +26,13 @@ class HybridParams:
         return math.ceil(PM_FRACTION * pop_size)
 
 
-def _improvise_refresh(pm: PatternMemory, hs_params: HsParams,
-                       problem: Problem, rng) -> tuple[bool, Candidate]:
-    """Improvise one vector over the PM rows; keep it if it beats PM's worst."""
-    pos = improvise_from([c.position for c in pm.entries], hs_params, problem, rng)
-    cand = Candidate(pos, evaluate(problem, pos, rng))
-    return pm.replace_worst_if_better(cand), cand
+def _improvise_refresh(pm: Archive, hs_params: HsParams,
+                       problem: Problem, rng) -> tuple[bool, np.ndarray, float]:
+    """Improvise one vector over the PM rows and keep it if it beats the PM's
+    worst; returns (replaced, position, fitness)."""
+    pos = improvise(pm.x, hs_params, problem, rng)
+    fit = evaluate(problem, pos, rng)
+    return pm.replace_worst(pos, fit), pos, fit
 
 
 def cddo_hs_run(problem: Problem, config: RunConfig,
@@ -41,10 +44,10 @@ def cddo_hs_run(problem: Problem, config: RunConfig,
     def refresh(state: CddoState, prob: Problem, rng) -> None:
         # The improvised vector is an evaluated solution, so it also feeds the
         # global best (the loop updates gbest after the refresh each iteration).
-        _, cand = _improvise_refresh(state.pm, params.hs, prob, rng)
+        _, pos, fit = _improvise_refresh(state.pm, params.hs, prob, rng)
         state.evals += 1
-        if cand.fitness < state.gbest.fitness:
-            state.gbest = cand.copy()
+        if fit < state.gbest_f:
+            state.gbest_x, state.gbest_f = pos, fit
 
     cddo_params = dataclasses.replace(params.cddo, pm_size=params.pm_size(config.pop_size))
     return _run_engine(problem, config, cddo_params,

@@ -4,7 +4,7 @@ import pytest
 from cddohs import cddo as cddo_mod
 from cddohs.benchmarks import make_function
 from cddohs.cddo import (
-    PHI, CddoParams, Candidate, PatternMemory, cddo_run, cddo_step,
+    PHI, CddoParams, cddo_run, cddo_step,
     creativity_update, golden_ratio, init_state, random_hand_pressure,
     select_hand_pressure, skill_update,
 )
@@ -31,8 +31,7 @@ def _problem(dim=2, lower=-10.0, upper=10.0):
 
 
 def _cand(*vals):
-    pos = np.array(vals, dtype=float)
-    return Candidate(pos, float(np.sum(pos * pos)))
+    return np.array(vals, dtype=float)
 
 
 class TestHandPressure:
@@ -46,7 +45,7 @@ class TestHandPressure:
         assert random_hand_pressure(p, make_rng(4)) == random_hand_pressure(p, make_rng(4))
 
     def test_hp_single_dim_forced(self):
-        c = Candidate(np.array([7.0]), 49.0)
+        c = _cand(7.0)
         assert select_hand_pressure(c, make_rng(0)) == 7.0
 
     def test_hp_uniform_over_components(self):
@@ -80,7 +79,7 @@ class TestGoldenRatio:
 
     def test_requires_two_dims(self):
         with pytest.raises(ValueError):
-            golden_ratio(Candidate(np.array([1.0]), 1.0), make_rng(0))
+            golden_ratio(_cand(1.0), make_rng(0))
 
 
 class TestSkillUpdate:
@@ -127,31 +126,15 @@ class TestCreativityUpdate:
         assert out == pytest.approx([10.0])
 
 
-class TestPatternMemory:
-    def test_seeded_with_best_of_population(self, rng):
-        pop = [_cand(3.0, 0.0), _cand(1.0, 0.0), _cand(2.0, 0.0), _cand(0.5, 0.0)]
-        pm = PatternMemory.from_population(pop, 2)
-        assert sorted(c.fitness for c in pm.entries) == [0.25, 1.0]
-
-    def test_capacity_constant_and_worst_replacement(self):
-        pm = PatternMemory([_cand(1.0, 0.0), _cand(2.0, 0.0)], 2)
-        assert pm.replace_worst_if_better(_cand(0.0, 0.5))
-        assert len(pm.entries) == 2
-        assert not pm.replace_worst_if_better(_cand(5.0, 5.0))
-        # equal fitness does not replace
-        worst = max(c.fitness for c in pm.entries)
-        assert not pm.replace_worst_if_better(Candidate(np.zeros(2), worst))
-
-
 class TestCddoStep:
     def test_gbest_monotone_one_step(self):
         p = make_function("F1")
         cfg = RunConfig(pop_size=40, base_seed=5)
         rng = make_rng(5)
         state = init_state(p, cfg, CddoParams(), rng)
-        before = state.gbest.fitness
+        before = state.gbest_f
         cddo_step(state, p, CddoParams(), rng)
-        assert state.gbest.fitness <= before
+        assert state.gbest_f <= before
 
     def test_branch_exclusivity_via_eval_count(self, monkeypatch):
         p = make_function("F1")
@@ -231,8 +214,8 @@ class TestCddoRun:
         state = init_state(p, cfg, params, rng)
         for _ in range(50):
             cddo_step(state, p, params, rng)
-            for c in state.population + state.lbest + state.pm.entries + [state.gbest]:
-                assert np.all(c.position >= p.lower) and np.all(c.position <= p.upper)
+            for x in state.x + state.lbest_x + list(state.pm.x) + [state.gbest_x]:
+                assert np.all(x >= p.lower) and np.all(x <= p.upper)
 
     def test_pm_elitism_and_coherence(self):
         p = make_function("F10")
@@ -240,12 +223,12 @@ class TestCddoRun:
         rng = make_rng(6)
         params = CddoParams()
         state = init_state(p, cfg, params, rng)
-        prev_pm_best = state.pm.best_fitness()
+        prev_pm_best = state.pm.f.min()
         for _ in range(40):
             cddo_step(state, p, params, rng)
-            assert state.pm.best_fitness() <= prev_pm_best
-            prev_pm_best = state.pm.best_fitness()
-            assert state.gbest.fitness == min(c.fitness for c in state.lbest)
+            assert state.pm.f.min() <= prev_pm_best
+            prev_pm_best = state.pm.f.min()
+            assert state.gbest_f == min(state.lbest_f)
 
     def test_pm_default_size_is_20_percent(self):
         assert CddoParams().resolved_pm_size(40) == 8

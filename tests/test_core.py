@@ -1,10 +1,16 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from cddohs.benchmarks import make_function
+from cddohs.cddo import cddo_run
 from cddohs.core import (
-    Problem, RunConfig, clamp, init_population, make_rng, uniform,
+    Archive, Problem, RunConfig, clamp, evaluate, init_population, make_rng, uniform,
 )
+from cddohs.hs import hs_run
+from cddohs.hybrid import cddo_hs_run
 
 
 def _toy(dim=3, lower=-1.0, upper=1.0):
@@ -73,22 +79,118 @@ class TestUniform:
 
 class TestInitPopulation:
     def test_bounds_and_count(self, rng):
-        p = _toy()
-        pop = init_population(p, 5, rng)
-        assert len(pop) == 5
-        for c in pop:
-            assert c.position.shape == (3,)
-            assert np.all(c.position >= -1) and np.all(c.position <= 1)
+        x, f = init_population(_toy(), 5, rng)
+        assert x.shape == (5, 3) and f.shape == (5,)
+        assert np.all(x >= -1) and np.all(x <= 1)
 
     def test_deterministic(self):
         p = _toy()
-        pop_a = init_population(p, 5, make_rng(9))
-        pop_b = init_population(p, 5, make_rng(9))
-        for a, b in zip(pop_a, pop_b):
-            assert np.array_equal(a.position, b.position)
-            assert a.fitness == b.fitness
+        x_a, f_a = init_population(p, 5, make_rng(9))
+        x_b, f_b = init_population(p, 5, make_rng(9))
+        assert np.array_equal(x_a, x_b)
+        assert np.array_equal(f_a, f_b)
 
     def test_sphere_fitness_matches_hand_formula(self, rng):
-        pop = init_population(make_function("F1"), 40, rng)
-        for c in pop:
-            assert c.fitness == pytest.approx(sum(v * v for v in c.position))
+        x, f = init_population(make_function("F1"), 40, rng)
+        for pos, fit in zip(x, f):
+            assert fit == pytest.approx(sum(v * v for v in pos))
+
+
+def _archive(*rows):
+    x = np.array(rows, dtype=float)
+    return Archive(x, np.sum(x * x, axis=1))
+
+
+class TestArchive:
+    def test_seeded_with_best_of_population(self):
+        pop = _archive([3.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.5, 0.0])
+        pm = Archive.best_of(pop.x, pop.f, 2)
+        assert sorted(pm.f) == [0.25, 1.0]
+        assert pm.x.shape == (2, 2)
+
+    def test_capacity_constant_and_worst_replacement(self):
+        pm = _archive([1.0, 0.0], [2.0, 0.0])
+        assert pm.replace_worst(np.array([0.0, 0.5]), 0.25)
+        assert pm.x.shape == (2, 2) and pm.f.shape == (2,)
+        assert not pm.replace_worst(np.array([5.0, 5.0]), 50.0)
+        # equal fitness does not replace
+        assert not pm.replace_worst(np.zeros(2), pm.f.max())
+
+    def test_worse_candidate_rejected(self):
+        hm = _archive([0.1], [0.5])
+        assert not hm.replace_worst(np.array([0.9]), 0.81)
+        assert hm.x[:, 0].tolist() == [0.1, 0.5]
+
+    def test_better_candidate_replaces_worst(self):
+        hm = _archive([0.1], [0.5])
+        old_worst = hm.f.max()
+        assert hm.replace_worst(np.array([0.2]), 0.04)
+        assert hm.f.max() <= old_worst
+
+    def test_equal_fitness_rejected(self):
+        hm = _archive([0.1], [0.5])
+        w = int(np.argmax(hm.f))
+        assert not hm.replace_worst(hm.x[w].copy(), hm.f[w])
+
+    def test_best_of_keeps_input_order_among_ties(self):
+        # F6-style integer fitness: rows 1 and 3 tie, and row 1 must come first
+        x = np.arange(8.0).reshape(4, 2)
+        pm = Archive.best_of(x, np.array([5.0, 2.0, 7.0, 2.0]), 3)
+        assert pm.x[:, 0].tolist() == [2.0, 6.0, 0.0]
+        assert pm.f.tolist() == [2.0, 2.0, 5.0]
+
+    def test_replace_worst_takes_first_of_equal_worsts(self):
+        pm = Archive(np.zeros((3, 2)), np.array([1.0, 4.0, 4.0]))
+        assert pm.replace_worst(np.ones(2), 3.0)
+        assert pm.f.tolist() == [1.0, 3.0, 4.0]
+        assert pm.x[:, 0].tolist() == [0.0, 1.0, 0.0]
+
+    def test_infinite_fitness_ranks_last(self):
+        pm = Archive.best_of(np.arange(3.0)[:, None], np.array([math.inf, 1.0, 0.0]), 2)
+        assert pm.f.tolist() == [0.0, 1.0]
+        pm = Archive(np.zeros((2, 1)), np.array([0.0, math.inf]))
+        assert pm.replace_worst(np.ones(1), 1e300)
+        assert pm.f.tolist() == [0.0, 1e300]
+
+
+def _nan_on_call(k):
+    """A user problem whose k-th objective call returns NaN."""
+    calls = itertools.count(1)
+
+    def objective(x):
+        return math.nan if next(calls) == k else float(np.sum(x * x))
+
+    return Problem(id="nan-at-k", dim=3, lower=-1.0, upper=1.0, objective=objective)
+
+
+class TestNonFiniteObjectives:
+    def test_infinity_is_kept(self):
+        p = Problem(id="inf", dim=2, lower=-1.0, upper=1.0, objective=lambda x: math.inf)
+        assert evaluate(p, np.zeros(2)) == math.inf
+
+    @pytest.mark.parametrize("run", [cddo_run, hs_run, cddo_hs_run])
+    @pytest.mark.parametrize("k", [1, 8])
+    def test_nan_raises_naming_the_problem(self, run, k):
+        # k=1 hits initialisation; k=8 (pop 5) hits the iteration loop
+        with pytest.raises(ValueError, match="nan-at-k"):
+            run(_nan_on_call(k), RunConfig(pop_size=5, max_iters=20))
+
+
+# best_fitness and evals of a short fixed-seed run: any change to the order or
+# number of random draws, or to the floats of an update rule, moves them.
+STREAM_PIN = {
+    (cddo_run, "F7"): (0.11897428954138006, 137),
+    (cddo_run, "F16"): (-1.0144106049947665, 132),
+    (hs_run, "F7"): (3.825607859910291, 35),
+    (hs_run, "F16"): (-0.613791210793643, 35),
+    (cddo_hs_run, "F7"): (0.05689182702847647, 153),
+    (cddo_hs_run, "F16"): (-0.8941115071530287, 179),
+}
+
+
+@pytest.mark.parametrize("run, func", list(STREAM_PIN), ids=lambda v: getattr(v, "__name__", v))
+def test_rng_stream_pin(run, func):
+    best, evals = STREAM_PIN[(run, func)]
+    r = run(make_function(func), RunConfig(pop_size=10, max_iters=25, base_seed=2023))
+    assert r.best_fitness == pytest.approx(best, rel=1e-12)
+    assert r.evals == evals

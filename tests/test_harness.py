@@ -7,7 +7,7 @@ import pytest
 from cddohs.cli import main
 from cddohs.core import RunConfig
 from cddohs.harness import (
-    ExperimentPlan, cell_seed, compare_to_reference, load_summary_csv,
+    ExperimentPlan, cell_seed, compare_to_reference, load_summary,
     run_cell, run_experiment,
 )
 
@@ -130,7 +130,7 @@ class TestCompare:
 
     def test_measured_rows(self, tiny_outputs):
         out, _ = tiny_outputs
-        report = compare_to_reference(load_summary_csv(out / "summary.csv"))
+        report = compare_to_reference(load_summary(out / "summary.csv"))
         by_func = {r["func"]: r for r in report["rows"]}
         assert "agree_vs_hs" in by_func["F1"]
         assert by_func["F2"]["measured_cddo-hs"] is None  # missing cell is a gap
@@ -157,15 +157,15 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / f"summary.{fmt}").exists()
         assert len(list(tmp_path.iterdir())) == 4  # summary, pvalues, two convergence
-        if fmt == "json":  # compare reads CSV: rebuild it from the JSON rows
-            rows = json.loads((tmp_path / "summary.json").read_text())
-            with open(tmp_path / "summary.csv", "w", newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-                writer.writeheader()
-                writer.writerows(rows)
-        rc = main(["compare", "--summary", str(tmp_path / "summary.csv")])
+        rc = main(["compare", "--summary", str(tmp_path / f"summary.{fmt}")])
         assert rc == 0
         assert "wins vs hs" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("payload", ['{"algo": "hs"}', "[1, 2]", "3"])
+    def test_compare_rejects_json_without_rows(self, tmp_path, capsys, payload):
+        (tmp_path / "summary.json").write_text(payload)
+        assert main(["compare", "--summary", str(tmp_path / "summary.json")]) == 1
+        assert "not a list of summary rows" in capsys.readouterr().err
 
     def test_unknown_algo_exit_code(self, tmp_path, capsys):
         rc = main(["run", "--algo", "simulated-annealing", "--func", "F1",

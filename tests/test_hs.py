@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from cddohs.benchmarks import make_function
-from cddohs.core import Candidate, Problem, RunConfig, make_rng
-from cddohs.hs import HarmonyMemory, HsParams, hs_run, improvise, improvise_from
+from cddohs.core import Problem, RunConfig, make_rng
+from cddohs.hs import HarmonyMemory, HsParams, hs_run, improvise
 
 
 def _problem(dim=4, lower=-1.0, upper=1.0):
@@ -11,80 +11,61 @@ def _problem(dim=4, lower=-1.0, upper=1.0):
                    objective=lambda x: float(np.sum(x * x)))
 
 
-def _hm(positions):
-    return HarmonyMemory([Candidate(np.array(p, float), float(np.sum(np.square(p))))
-                          for p in positions])
+def _rows(positions):
+    return np.array(positions, dtype=float)
 
 
 class TestImprovise:
     def test_pure_memory_consideration(self):
         p = _problem(dim=3)
-        hm = _hm([[0.1, 0.2, 0.3], [-0.1, -0.2, -0.3]])
+        rows = _rows([[0.1, 0.2, 0.3], [-0.1, -0.2, -0.3]])
         params = HsParams(hmcr=1.0, par=0.0)
         rng = make_rng(1)
         for _ in range(20):
-            new = improvise(hm, params, p, rng)
+            new = improvise(rows, params, p, rng)
             for k, v in enumerate(new):
-                assert v in {hm.rows[0].position[k], hm.rows[1].position[k]}
+                assert v in {rows[0, k], rows[1, k]}
 
     def test_pure_random_ignores_memory(self):
         p = _problem(dim=3, lower=2.0, upper=3.0)
-        hm = _hm([[2.5, 2.5, 2.5]])
-        new = improvise(hm, HsParams(hmcr=0.0), p, make_rng(2))
+        rows = _rows([[2.5, 2.5, 2.5]])
+        new = improvise(rows, HsParams(hmcr=0.0), p, make_rng(2))
         assert np.all((new >= 2.0) & (new <= 3.0))
         assert not np.any(new == 2.5)
 
     def test_pitch_adjustment_range(self):
         p = _problem(dim=5)
-        hm = _hm([np.zeros(5), np.zeros(5)])
+        rows = np.zeros((2, 5))
         params = HsParams(hmcr=1.0, par=1.0, bw=0.04)
         rng = make_rng(3)
         for _ in range(50):
-            new = improvise(hm, params, p, rng)
+            new = improvise(rows, params, p, rng)
             assert np.all(np.abs(new) <= 0.04)
 
     def test_result_clamped(self):
         p = _problem(dim=2, lower=0.0, upper=0.01)
-        hm = _hm([[0.01, 0.01]])
+        rows = _rows([[0.01, 0.01]])
         params = HsParams(hmcr=1.0, par=1.0, bw=5.0)
         for _ in range(20):
-            new = improvise(hm, params, p, make_rng(4))
+            new = improvise(rows, params, p, make_rng(4))
             assert np.all((new >= 0.0) & (new <= 0.01))
 
     def test_branch_probabilities(self):
         # component-level frequencies of memory consideration / pitch adjustment
         p = _problem(dim=1, lower=-1000.0, upper=1000.0)
-        rows = [np.array([0.0])]
+        rows = np.zeros((1, 1))
         params = HsParams(hmcr=0.9, par=0.3, bw=1e-6)
         rng = make_rng(5)
         n = 100_000
         mem = pitch = 0
         for _ in range(n):
-            v = improvise_from(rows, params, p, rng)[0]
+            v = improvise(rows, params, p, rng)[0]
             if abs(v) <= 1e-6:
                 mem += 1
                 if v != 0.0:
                     pitch += 1
         assert abs(mem / n - params.hmcr) < 0.01
         assert abs(pitch / n - params.hmcr * params.par) < 0.01
-
-
-class TestReplaceWorst:
-    def test_worse_candidate_rejected(self):
-        hm = _hm([[0.1], [0.5]])
-        assert not hm.replace_worst(Candidate(np.array([0.9]), 0.81))
-        assert [c.position[0] for c in hm.rows] == [0.1, 0.5]
-
-    def test_better_candidate_replaces_worst(self):
-        hm = _hm([[0.1], [0.5]])
-        old_worst = hm.rows[hm.worst_index].fitness
-        assert hm.replace_worst(Candidate(np.array([0.2]), 0.04))
-        assert hm.rows[hm.worst_index].fitness <= old_worst
-
-    def test_equal_fitness_rejected(self):
-        hm = _hm([[0.1], [0.5]])
-        worst = hm.rows[hm.worst_index]
-        assert not hm.replace_worst(Candidate(worst.position.copy(), worst.fitness))
 
 
 class TestHsRun:
@@ -107,14 +88,14 @@ class TestHsRun:
         # track worst/best across a manual loop
         from cddohs.core import init_population, evaluate
         rng = make_rng(3)
-        hm = HarmonyMemory(init_population(p, 15, rng))
-        prev_worst = hm.rows[hm.worst_index].fitness
-        prev_best = hm.rows[hm.best_index].fitness
+        hm = HarmonyMemory(*init_population(p, 15, rng))
+        prev_worst = hm.f.max()
+        prev_best = hm.f.min()
         for _ in range(200):
-            pos = improvise(hm, params, p, rng)
-            hm.replace_worst(Candidate(pos, evaluate(p, pos, rng)))
-            worst = hm.rows[hm.worst_index].fitness
-            best = hm.rows[hm.best_index].fitness
+            pos = improvise(hm.x, params, p, rng)
+            hm.replace_worst(pos, evaluate(p, pos, rng))
+            worst = hm.f.max()
+            best = hm.f.min()
             assert worst <= prev_worst and best <= prev_best
             prev_worst, prev_best = worst, best
 
@@ -126,7 +107,6 @@ class TestHsRun:
     def test_default_params_match_protocol(self):
         p = HsParams()
         assert (p.hmcr, p.par, p.bw) == (0.995, 0.1, 0.04)
-        assert p.resolved_hms(40) == 40
 
     def test_param_validation(self):
         with pytest.raises(ValueError):

@@ -5,15 +5,15 @@ import pytest
 
 from cddohs import hybrid
 from cddohs.benchmarks import make_function
-from cddohs.cddo import CddoParams, Candidate, PatternMemory, cddo_run, init_state
-from cddohs.core import RunConfig, make_rng
+from cddohs.cddo import CddoParams, cddo_run, init_state
+from cddohs.core import Archive, RunConfig, make_rng
 from cddohs.hs import HsParams
 from cddohs.hybrid import HybridParams, _improvise_refresh, cddo_hs_run
 
 
 def _pm(positions):
-    cands = [Candidate(np.array(p, float), float(np.sum(np.square(p)))) for p in positions]
-    return PatternMemory(cands, len(cands))
+    x = np.array(positions, dtype=float)
+    return Archive(x, np.sum(np.square(x), axis=1))
 
 
 class TestRefresh:
@@ -53,9 +53,9 @@ class TestRefresh:
         state = init_state(p, cfg, CddoParams(pm_size=8), rng)
         params = HsParams()
         for _ in range(300):
-            worst_before = max(c.fitness for c in state.pm.entries)
+            worst_before = state.pm.f.max()
             _improvise_refresh(state.pm, params, p, rng)
-            assert max(c.fitness for c in state.pm.entries) <= worst_before
+            assert state.pm.f.max() <= worst_before
 
 
 class TestHybridRun:
@@ -86,7 +86,7 @@ class TestHybridRun:
         # A refresh that draws nothing and never improves leaves plain CDDO
         # with an 80% pattern memory, plus one counted evaluation per iteration.
         def inert_refresh(pm, hs_params, problem, rng):
-            return False, Candidate(np.zeros(problem.dim), math.inf)
+            return False, np.zeros(problem.dim), math.inf
 
         monkeypatch.setattr(hybrid, "_improvise_refresh", inert_refresh)
         p = make_function("F9")
