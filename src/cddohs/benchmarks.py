@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Problem
+from .core import Problem, evaluate
 
 # -- fixed-dimension constant tables (canonical published values) -----------
 
@@ -223,28 +223,26 @@ SPECS: dict[str, BenchmarkSpec] = {
 
 FUNCTION_IDS = [f"F{i}" for i in range(1, 20)]
 
+# One Problem per registry entry, built once; Problem is frozen, so callers share it.
+_PROBLEMS: dict[str, Problem] = {
+    s.id: Problem(id=s.id, dim=s.dim, lower=float(s.lower), upper=float(s.upper),
+                  objective=s.fn, stochastic=s.stochastic)
+    for s in SPECS.values()
+}
+
+
 def make_function(func_id: str) -> Problem:
-    """Build the Problem for one of F1..F19."""
+    """The Problem for one of F1..F19."""
     try:
-        s = SPECS[func_id]
+        return _PROBLEMS[func_id]
     except KeyError:
         raise KeyError(f"unknown benchmark id {func_id!r}; expected one of F1..F19") from None
-    return Problem(
-        id=s.id, dim=s.dim, lower=float(s.lower), upper=float(s.upper),
-        objective=s.fn, stochastic=s.stochastic,
-    )
 
 
 def evaluate_at(func_id: str, x, rng=None) -> float:
     """Evaluate a registered function at x (length must match its dim)."""
-    s = SPECS.get(func_id)
-    if s is None:
-        raise KeyError(f"unknown benchmark id {func_id!r}")
+    problem = make_function(func_id)
     x = np.asarray(x, dtype=float)
-    if x.shape != (s.dim,):
-        raise ValueError(f"{func_id} expects a length-{s.dim} vector, got shape {x.shape}")
-    if s.stochastic:
-        if rng is None:
-            raise ValueError(f"{func_id} is stochastic and needs an RNG")
-        return s.fn(x, rng)
-    return s.fn(x)
+    if x.shape != (problem.dim,):
+        raise ValueError(f"{func_id} expects a length-{problem.dim} vector, got shape {x.shape}")
+    return evaluate(problem, x, rng)

@@ -15,33 +15,16 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import core
 from .core import Archive, Problem, RunConfig, RunResult, clamp, evaluate, make_rng, uniform
 
+# The paper's protocol: fixed, not settable.
 PHI = 1.618
+GR_TOLERANCE = 0.1  # creativity fires when |gr - PHI| <= GR_TOLERANCE
+PM_FRACTION = 0.2   # pattern memory holds ceil(PM_FRACTION * pop_size) elites
 
 SR_LR_HIGH = (0.6, 1.0)
 SR_LR_LOW = (0.0, 0.5)
-
-
-@dataclass
-class CddoParams:
-    sr_lr_high: tuple[float, float] = SR_LR_HIGH
-    sr_lr_low: tuple[float, float] = SR_LR_LOW
-    pm_size: Optional[int] = None  # None -> ceil(0.2 * pop_size)
-    gr_tolerance: float = 0.1
-
-    def resolved_pm_size(self, pop_size: int) -> int:
-        pm = self.pm_size if self.pm_size is not None else math.ceil(0.2 * pop_size)
-        if not 0 < pm <= pop_size:
-            raise ValueError(f"pm_size must be in (0, pop_size], got {pm}")
-        return pm
-
-    def validate(self):
-        lo, hi = self.sr_lr_low, self.sr_lr_high
-        if not (0.0 <= lo[0] <= lo[1] <= 1.0 and 0.0 <= hi[0] <= hi[1] <= 1.0):
-            raise ValueError("sr/lr intervals must lie within [0, 1]")
-        if lo[1] > hi[0]:
-            raise ValueError("low interval must sit below the high interval")
 
 
 @dataclass
@@ -103,19 +86,17 @@ def creativity_update(pm_entry: np.ndarray, gbest: np.ndarray, sr: float,
     return clamp(pm_entry + sr * gbest, problem)
 
 
-def init_state(problem: Problem, config: RunConfig, params: CddoParams, rng) -> CddoState:
-    from .core import init_population
-
-    x, f = init_population(problem, config.pop_size, rng)
+def init_state(problem: Problem, config: RunConfig, pm_size: int, rng) -> CddoState:
+    x, f = core.init_population(problem, config.pop_size, rng)
     g = int(np.argmin(f))
-    pm = Archive.best_of(x, f, params.resolved_pm_size(config.pop_size))
+    pm = Archive.best_of(x, f, pm_size)
     return CddoState(list(x), list(x), f.tolist(), x[g], float(f[g]), pm, evals=config.pop_size)
 
 
-def cddo_step(state: CddoState, problem: Problem, params: CddoParams, rng) -> CddoState:
+def cddo_step(state: CddoState, problem: Problem, rng) -> CddoState:
     """One iteration over all agents; mutates and returns state."""
-    hi_lo, hi_hi = params.sr_lr_high
-    lo_lo, lo_hi = params.sr_lr_low
+    hi_lo, hi_hi = SR_LR_HIGH
+    lo_lo, lo_hi = SR_LR_LOW
     for i, x in enumerate(state.x):
         rhp = random_hand_pressure(problem, rng)
         hp = select_hand_pressure(x, rng)
@@ -124,7 +105,7 @@ def cddo_step(state: CddoState, problem: Problem, params: CddoParams, rng) -> Cd
             sr = uniform(rng, hi_lo, hi_hi)
             lr = uniform(rng, hi_lo, hi_hi)
             new_pos = skill_update(x, state.lbest_x[i], state.gbest_x, gr, sr, lr, problem)
-        elif abs(gr - PHI) <= params.gr_tolerance:
+        elif abs(gr - PHI) <= GR_TOLERANCE:
             sr = uniform(rng, lo_lo, lo_hi)
             entry = state.pm.x[rng.integers(len(state.pm.f))]
             new_pos = creativity_update(entry, state.gbest_x, sr, problem)
@@ -144,19 +125,20 @@ def cddo_step(state: CddoState, problem: Problem, params: CddoParams, rng) -> Cd
 RefreshFn = Callable[[CddoState, Problem, np.random.Generator], None]
 
 
-def _run_engine(problem: Problem, config: RunConfig, params: CddoParams,
-                seed: int, refresh: Optional[RefreshFn] = None) -> RunResult:
-    """Shared driver for CDDO and the hybrid (hybrid supplies a PM refresh hook)."""
-    params.validate()
+def _run_engine(problem: Problem, config: RunConfig, pm_fraction: float,
+                run_index: int, refresh: Optional[RefreshFn] = None) -> RunResult:
+    """Shared driver for CDDO and the hybrid (the hybrid passes its larger
+    pattern-memory fraction and a refresh hook); run r uses seed base_seed + r."""
     if problem.dim < 2:
         raise ValueError("CDDO needs dim >= 2 (golden ratio uses two distinct components)")
+    seed = config.seed_for_run(run_index)
     rng = make_rng(seed)
-    state = init_state(problem, config, params, rng)
+    state = init_state(problem, config, math.ceil(pm_fraction * config.pop_size), rng)
     trace = np.empty(config.max_iters)
     for t in range(config.max_iters):
         if refresh is not None:
             refresh(state, problem, rng)
-        cddo_step(state, problem, params, rng)
+        cddo_step(state, problem, rng)
         trace[t] = state.gbest_f
     return RunResult(
         best_fitness=state.gbest_f,
@@ -167,8 +149,6 @@ def _run_engine(problem: Problem, config: RunConfig, params: CddoParams,
     )
 
 
-def cddo_run(problem: Problem, config: RunConfig, params: Optional[CddoParams] = None,
-             run_index: int = 0) -> RunResult:
+def cddo_run(problem: Problem, config: RunConfig, run_index: int = 0) -> RunResult:
     """One full CDDO run; run r uses seed base_seed + r."""
-    return _run_engine(problem, config, params or CddoParams(),
-                       seed=config.seed_for_run(run_index))
+    return _run_engine(problem, config, PM_FRACTION, run_index)

@@ -27,6 +27,8 @@ class Problem:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
+        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+            raise ValueError(f"need finite bounds, got [{self.lower}, {self.upper}]")
         if not self.lower < self.upper:
             raise ValueError(f"need lower < upper, got [{self.lower}, {self.upper}]")
 

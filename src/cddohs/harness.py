@@ -145,9 +145,12 @@ def load_summary(path) -> dict:
     with open(path, newline="") as fh:
         rows = json.load(fh) if Path(path).suffix == ".json" else csv.DictReader(fh)
         try:
-            return {(row["algo"], row["func"]): row for row in rows}
+            summary = {(row["algo"], row["func"]): row for row in rows}
         except TypeError:  # JSON that is not a list of row objects
             raise ValueError(f"{path}: not a list of summary rows") from None
+    if not summary:  # a header-only CSV, [] or {}: nothing to compare
+        raise ValueError(f"{path}: no summary rows")
+    return summary
 
 
 def compare_to_reference(summary: dict, table=None) -> dict:

@@ -2,23 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
+from . import core
 from .core import Archive, Problem, RunConfig, RunResult, evaluate, make_rng, uniform
 
-
-@dataclass
-class HsParams:
-    hmcr: float = 0.995  # per-component probability of copying from memory
-    par: float = 0.1     # pitch adjustment probability, given a memory copy
-    bw: float = 0.04     # absolute perturbation bandwidth
-
-    def __post_init__(self):
-        if not (0.0 <= self.hmcr <= 1.0 and 0.0 <= self.par <= 1.0):
-            raise ValueError("hmcr and par must lie in [0, 1]")
+# The paper's protocol: fixed, not settable.
+HMCR = 0.995  # per-component probability of copying from memory
+PAR = 0.1     # pitch adjustment probability, given a memory copy
+BW = 0.04     # absolute perturbation bandwidth
 
 
 class HarmonyMemory(Archive):
@@ -27,37 +19,33 @@ class HarmonyMemory(Archive):
     pattern-memory replacements of CDDO and the hybrid."""
 
 
-def improvise(positions: np.ndarray, params: HsParams, problem: Problem, rng) -> np.ndarray:
+def improvise(positions: np.ndarray, problem: Problem, rng) -> np.ndarray:
     """Compose one new vector per-dimension from the memory rows ``positions``.
 
-    Each component: with prob hmcr copy it from a random row (then with prob
-    par nudge it by uniform(-1,1)*bw), otherwise redraw uniformly in bounds.
+    Each component: with prob HMCR copy it from a random row (then with prob
+    PAR nudge it by uniform(-1,1)*BW), otherwise redraw uniformly in bounds.
     """
     m = len(positions)
     new = np.empty(problem.dim)
     for k in range(problem.dim):
-        if rng.random() <= params.hmcr:
+        if rng.random() <= HMCR:
             v = float(positions[rng.integers(m), k])
-            if rng.random() <= params.par:
-                v += uniform(rng, -1.0, 1.0) * params.bw
+            if rng.random() <= PAR:
+                v += uniform(rng, -1.0, 1.0) * BW
         else:
             v = uniform(rng, problem.lower, problem.upper)
         new[k] = v
     return np.clip(new, problem.lower, problem.upper)
 
 
-def hs_run(problem: Problem, config: RunConfig, params: Optional[HsParams] = None,
-           run_index: int = 0) -> RunResult:
-    """One full HS run; evals == pop_size + max_iters."""
-    from .core import init_population
-
-    params = params or HsParams()
+def hs_run(problem: Problem, config: RunConfig, run_index: int = 0) -> RunResult:
+    """One full HS run; run r uses seed base_seed + r; evals == pop_size + max_iters."""
     seed = config.seed_for_run(run_index)
     rng = make_rng(seed)
-    hm = HarmonyMemory(*init_population(problem, config.pop_size, rng))
+    hm = HarmonyMemory(*core.init_population(problem, config.pop_size, rng))
     trace = np.empty(config.max_iters)
     for t in range(config.max_iters):
-        pos = improvise(hm.x, params, problem, rng)
+        pos = improvise(hm.x, problem, rng)
         hm.replace_worst(pos, evaluate(problem, pos, rng))
         trace[t] = hm.f.min()
     best = int(np.argmin(hm.f))

@@ -55,6 +55,16 @@ class TestRegistry:
         with pytest.raises(ValueError, match="length-10"):
             evaluate_at("F1", [0.0, 0.0])
 
+    def test_registry_problems_are_built_once(self):
+        assert all(make_function(f) is make_function(f) for f in FUNCTION_IDS)
+
+    def test_evaluate_at_rejects_what_evaluate_rejects(self):
+        # evaluate_at goes through core.evaluate: NaN and a missing RNG raise
+        with pytest.raises(ValueError, match="F1: objective returned NaN"):
+            evaluate_at("F1", np.full(10, np.nan))
+        with pytest.raises(ValueError, match="F7 is stochastic"):
+            evaluate_at("F7", np.zeros(10))
+
 
 class TestKnownValues:
     @pytest.mark.parametrize("fid", CERTIFIED)

@@ -4,7 +4,7 @@ import pytest
 from cddohs import cddo as cddo_mod
 from cddohs.benchmarks import make_function
 from cddohs.cddo import (
-    PHI, CddoParams, cddo_run, cddo_step,
+    PHI, cddo_run, cddo_step,
     creativity_update, golden_ratio, init_state, random_hand_pressure,
     select_hand_pressure, skill_update,
 )
@@ -131,16 +131,16 @@ class TestCddoStep:
         p = make_function("F1")
         cfg = RunConfig(pop_size=40, base_seed=5)
         rng = make_rng(5)
-        state = init_state(p, cfg, CddoParams(), rng)
+        state = init_state(p, cfg, 8, rng)
         before = state.gbest_f
-        cddo_step(state, p, CddoParams(), rng)
+        cddo_step(state, p, rng)
         assert state.gbest_f <= before
 
     def test_branch_exclusivity_via_eval_count(self, monkeypatch):
         p = make_function("F1")
         cfg = RunConfig(pop_size=40, base_seed=5)
         rng = make_rng(5)
-        state = init_state(p, cfg, CddoParams(), rng)
+        state = init_state(p, cfg, 8, rng)
         counts = {"skill": 0, "creat": 0}
         real_skill, real_creat = skill_update, creativity_update
 
@@ -155,7 +155,7 @@ class TestCddoStep:
         monkeypatch.setattr(cddo_mod, "skill_update", spy_skill)
         monkeypatch.setattr(cddo_mod, "creativity_update", spy_creat)
         before = state.evals
-        cddo_step(state, p, CddoParams(), rng)
+        cddo_step(state, p, rng)
         updates = counts["skill"] + counts["creat"]
         assert updates <= cfg.pop_size
         assert state.evals - before == updates  # one evaluation per updated agent
@@ -210,10 +210,9 @@ class TestCddoRun:
         p = make_function("F16")
         cfg = RunConfig(pop_size=10, base_seed=4)
         rng = make_rng(4)
-        params = CddoParams()
-        state = init_state(p, cfg, params, rng)
+        state = init_state(p, cfg, 2, rng)
         for _ in range(50):
-            cddo_step(state, p, params, rng)
+            cddo_step(state, p, rng)
             for x in state.x + state.lbest_x + list(state.pm.x) + [state.gbest_x]:
                 assert np.all(x >= p.lower) and np.all(x <= p.upper)
 
@@ -221,25 +220,27 @@ class TestCddoRun:
         p = make_function("F10")
         cfg = RunConfig(pop_size=20, base_seed=6)
         rng = make_rng(6)
-        params = CddoParams()
-        state = init_state(p, cfg, params, rng)
+        state = init_state(p, cfg, 4, rng)
         prev_pm_best = state.pm.f.min()
         for _ in range(40):
-            cddo_step(state, p, params, rng)
+            cddo_step(state, p, rng)
             assert state.pm.f.min() <= prev_pm_best
             prev_pm_best = state.pm.f.min()
             assert state.gbest_f == min(state.lbest_f)
 
-    def test_pm_default_size_is_20_percent(self):
-        assert CddoParams().resolved_pm_size(40) == 8
+    def test_pm_default_size_is_20_percent(self, monkeypatch):
+        sizes = []
+        real_init_state = cddo_mod.init_state
+
+        def spy(problem, config, pm_size, rng):
+            sizes.append(pm_size)
+            return real_init_state(problem, config, pm_size, rng)
+
+        monkeypatch.setattr(cddo_mod, "init_state", spy)
+        cddo_run(make_function("F1"), RunConfig(pop_size=40, max_iters=1))
+        assert sizes == [8]
 
     def test_rejects_dim_one(self):
         p = Problem(id="d1", dim=1, lower=-1, upper=1, objective=lambda x: float(x[0] ** 2))
         with pytest.raises(ValueError, match="dim >= 2"):
             cddo_run(p, RunConfig(pop_size=5, max_iters=5))
-
-    def test_param_validation(self):
-        with pytest.raises(ValueError):
-            CddoParams(sr_lr_low=(0.0, 0.9)).validate()
-        with pytest.raises(ValueError):
-            CddoParams(pm_size=0).resolved_pm_size(40)

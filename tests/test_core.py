@@ -20,8 +20,11 @@ def _toy(dim=3, lower=-1.0, upper=1.0):
 
 class TestProblem:
     def test_rejects_inverted_bounds(self):
-        with pytest.raises(ValueError):
-            Problem(id="bad", dim=2, lower=1.0, upper=-1.0, objective=lambda x: 0.0)
+        # inverted, and not finite: an infinite box has no uniform initial draw
+        for lower, upper in [(1.0, -1.0), (-math.inf, 1.0), (-1.0, math.inf),
+                             (-math.inf, math.inf), (math.nan, 1.0), (-1.0, math.nan)]:
+            with pytest.raises(ValueError):
+                Problem(id="bad", dim=2, lower=lower, upper=upper, objective=lambda x: 0.0)
 
     def test_rejects_zero_dim(self):
         with pytest.raises(ValueError):

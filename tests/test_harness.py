@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 from cddohs.cli import main
 from cddohs.core import RunConfig
 from cddohs.harness import (
-    ExperimentPlan, cell_seed, compare_to_reference, load_summary,
+    ALGORITHMS, ExperimentPlan, cell_seed, compare_to_reference, load_summary,
     run_cell, run_experiment,
 )
 
@@ -53,6 +54,14 @@ class TestSeeding:
     def test_cell_seeds_differ_across_cells(self):
         seeds = {cell_seed(7, a, f) for a in ("cddo", "hs") for f in ("F1", "F2")}
         assert len(seeds) == 4
+
+    @pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+    def test_entry_point_signature(self, algo):
+        # run_cell (and any caller of the library) calls run_fn(problem, config, run_index=r)
+        params = inspect.signature(ALGORITHMS[algo]).parameters.values()
+        assert [(p.name, p.default) for p in params] == [
+            ("problem", inspect.Parameter.empty), ("config", inspect.Parameter.empty),
+            ("run_index", 0)]
 
     def test_cell_replay_is_independent(self):
         a = run_cell("hs", "F1", TINY)
@@ -166,6 +175,13 @@ class TestCli:
         (tmp_path / "summary.json").write_text(payload)
         assert main(["compare", "--summary", str(tmp_path / "summary.json")]) == 1
         assert "not a list of summary rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,payload", [("summary.csv", "algo,func\n"),
+                                              ("summary.json", "{}"), ("summary.json", "[]")])
+    def test_compare_rejects_summary_without_rows(self, tmp_path, capsys, name, payload):
+        (tmp_path / name).write_text(payload)
+        assert main(["compare", "--summary", str(tmp_path / name)]) == 1
+        assert "no summary rows" in capsys.readouterr().err
 
     def test_unknown_algo_exit_code(self, tmp_path, capsys):
         rc = main(["run", "--algo", "simulated-annealing", "--func", "F1",

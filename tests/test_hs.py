@@ -1,9 +1,9 @@
 import numpy as np
-import pytest
 
 from cddohs.benchmarks import make_function
 from cddohs.core import Problem, RunConfig, make_rng
-from cddohs.hs import HarmonyMemory, HsParams, hs_run, improvise
+from cddohs import hs
+from cddohs.hs import HarmonyMemory, hs_run, improvise
 
 
 def _problem(dim=4, lower=-1.0, upper=1.0):
@@ -16,56 +16,63 @@ def _rows(positions):
 
 
 class TestImprovise:
-    def test_pure_memory_consideration(self):
+    def test_pure_memory_consideration(self, monkeypatch):
+        monkeypatch.setattr(hs, "HMCR", 1.0)
+        monkeypatch.setattr(hs, "PAR", 0.0)
         p = _problem(dim=3)
         rows = _rows([[0.1, 0.2, 0.3], [-0.1, -0.2, -0.3]])
-        params = HsParams(hmcr=1.0, par=0.0)
         rng = make_rng(1)
         for _ in range(20):
-            new = improvise(rows, params, p, rng)
+            new = improvise(rows, p, rng)
             for k, v in enumerate(new):
                 assert v in {rows[0, k], rows[1, k]}
 
-    def test_pure_random_ignores_memory(self):
+    def test_pure_random_ignores_memory(self, monkeypatch):
+        monkeypatch.setattr(hs, "HMCR", 0.0)
         p = _problem(dim=3, lower=2.0, upper=3.0)
         rows = _rows([[2.5, 2.5, 2.5]])
-        new = improvise(rows, HsParams(hmcr=0.0), p, make_rng(2))
+        new = improvise(rows, p, make_rng(2))
         assert np.all((new >= 2.0) & (new <= 3.0))
         assert not np.any(new == 2.5)
 
-    def test_pitch_adjustment_range(self):
+    def test_pitch_adjustment_range(self, monkeypatch):
+        monkeypatch.setattr(hs, "HMCR", 1.0)
+        monkeypatch.setattr(hs, "PAR", 1.0)
         p = _problem(dim=5)
         rows = np.zeros((2, 5))
-        params = HsParams(hmcr=1.0, par=1.0, bw=0.04)
         rng = make_rng(3)
         for _ in range(50):
-            new = improvise(rows, params, p, rng)
+            new = improvise(rows, p, rng)
             assert np.all(np.abs(new) <= 0.04)
 
-    def test_result_clamped(self):
+    def test_result_clamped(self, monkeypatch):
+        monkeypatch.setattr(hs, "HMCR", 1.0)
+        monkeypatch.setattr(hs, "PAR", 1.0)
+        monkeypatch.setattr(hs, "BW", 5.0)
         p = _problem(dim=2, lower=0.0, upper=0.01)
         rows = _rows([[0.01, 0.01]])
-        params = HsParams(hmcr=1.0, par=1.0, bw=5.0)
         for _ in range(20):
-            new = improvise(rows, params, p, make_rng(4))
+            new = improvise(rows, p, make_rng(4))
             assert np.all((new >= 0.0) & (new <= 0.01))
 
-    def test_branch_probabilities(self):
+    def test_branch_probabilities(self, monkeypatch):
         # component-level frequencies of memory consideration / pitch adjustment
+        monkeypatch.setattr(hs, "HMCR", 0.9)
+        monkeypatch.setattr(hs, "PAR", 0.3)
+        monkeypatch.setattr(hs, "BW", 1e-6)
         p = _problem(dim=1, lower=-1000.0, upper=1000.0)
         rows = np.zeros((1, 1))
-        params = HsParams(hmcr=0.9, par=0.3, bw=1e-6)
         rng = make_rng(5)
         n = 100_000
         mem = pitch = 0
         for _ in range(n):
-            v = improvise(rows, params, p, rng)[0]
+            v = improvise(rows, p, rng)[0]
             if abs(v) <= 1e-6:
                 mem += 1
                 if v != 0.0:
                     pitch += 1
-        assert abs(mem / n - params.hmcr) < 0.01
-        assert abs(pitch / n - params.hmcr * params.par) < 0.01
+        assert abs(mem / n - 0.9) < 0.01
+        assert abs(pitch / n - 0.9 * 0.3) < 0.01
 
 
 class TestHsRun:
@@ -83,7 +90,6 @@ class TestHsRun:
 
     def test_memory_monotonicity(self):
         p = make_function("F10")
-        params = HsParams()
         cfg = RunConfig(pop_size=15, max_iters=1, base_seed=2)
         # track worst/best across a manual loop
         from cddohs.core import init_population, evaluate
@@ -92,7 +98,7 @@ class TestHsRun:
         prev_worst = hm.f.max()
         prev_best = hm.f.min()
         for _ in range(200):
-            pos = improvise(hm.x, params, p, rng)
+            pos = improvise(hm.x, p, rng)
             hm.replace_worst(pos, evaluate(p, pos, rng))
             worst = hm.f.max()
             best = hm.f.min()
@@ -105,9 +111,4 @@ class TestHsRun:
         assert r.best_fitness == r.trace[-1]
 
     def test_default_params_match_protocol(self):
-        p = HsParams()
-        assert (p.hmcr, p.par, p.bw) == (0.995, 0.1, 0.04)
-
-    def test_param_validation(self):
-        with pytest.raises(ValueError):
-            HsParams(hmcr=1.5)
+        assert (hs.HMCR, hs.PAR, hs.BW) == (0.995, 0.1, 0.04)

@@ -1,14 +1,12 @@
 import math
 
 import numpy as np
-import pytest
 
-from cddohs import hybrid
+from cddohs import cddo, hs, hybrid
 from cddohs.benchmarks import make_function
-from cddohs.cddo import CddoParams, cddo_run, init_state
+from cddohs.cddo import _run_engine, init_state
 from cddohs.core import Archive, RunConfig, make_rng
-from cddohs.hs import HsParams
-from cddohs.hybrid import HybridParams, _improvise_refresh, cddo_hs_run
+from cddohs.hybrid import _improvise_refresh, cddo_hs_run
 
 
 def _pm(positions):
@@ -17,32 +15,34 @@ def _pm(positions):
 
 
 class TestRefresh:
-    def test_identical_rows_cannot_strictly_improve(self):
+    def test_identical_rows_cannot_strictly_improve(self, monkeypatch):
+        monkeypatch.setattr(hs, "HMCR", 1.0)
+        monkeypatch.setattr(hs, "PAR", 0.0)
         p = make_function("F1")
         pm = _pm([np.full(10, 3.0)] * 4)
-        params = HsParams(hmcr=1.0, par=0.0)
-        assert not _improvise_refresh(pm, params, p, make_rng(1))[0]
+        assert not _improvise_refresh(pm, p, make_rng(1))[0]
 
-    def test_pure_random_ignores_pm(self):
+    def test_pure_random_ignores_pm(self, monkeypatch):
+        monkeypatch.setattr(hs, "HMCR", 0.0)
         p = make_function("F1")
         pm = _pm([np.full(10, 99.0)] * 4)
         rng = make_rng(2)
         # with hmcr=0 the improvised vector is uniform in bounds; a uniform
         # draw over [-100,100]^10 beats a PM stuck at 99-vectors essentially always
         hits = sum(
-            _improvise_refresh(_pm([np.full(10, 99.0)] * 4), HsParams(hmcr=0.0), p, make_rng(s))[0]
+            _improvise_refresh(_pm([np.full(10, 99.0)] * 4), p, make_rng(s))[0]
             for s in range(20)
         )
         assert hits == 20
 
-    def test_eventual_improvement_of_bad_pm(self):
+    def test_eventual_improvement_of_bad_pm(self, monkeypatch):
+        monkeypatch.setattr(hs, "HMCR", 0.0)
         p = make_function("F1")
         pm = _pm([np.full(10, 90.0) + i for i in range(4)])
         rng = make_rng(3)
-        params = HsParams(hmcr=0.0)
         improved = 0
         for _ in range(1000):
-            if _improvise_refresh(pm, params, p, rng)[0]:
+            if _improvise_refresh(pm, p, rng)[0]:
                 improved += 1
         assert improved >= 1
 
@@ -50,18 +50,26 @@ class TestRefresh:
         p = make_function("F9")
         rng = make_rng(4)
         cfg = RunConfig(pop_size=10, base_seed=4)
-        state = init_state(p, cfg, CddoParams(pm_size=8), rng)
-        params = HsParams()
+        state = init_state(p, cfg, 8, rng)
         for _ in range(300):
             worst_before = state.pm.f.max()
-            _improvise_refresh(state.pm, params, p, rng)
+            _improvise_refresh(state.pm, p, rng)
             assert state.pm.f.max() <= worst_before
 
 
 class TestHybridRun:
-    def test_pm_capacity_is_80_percent(self):
-        assert HybridParams().pm_size(40) == 32
-        assert HybridParams().pm_size(10) == 8
+    def test_pm_capacity_is_80_percent(self, monkeypatch):
+        sizes = []
+        real_init_state = cddo.init_state
+
+        def spy(problem, config, pm_size, rng):
+            sizes.append(pm_size)
+            return real_init_state(problem, config, pm_size, rng)
+
+        monkeypatch.setattr(cddo, "init_state", spy)
+        for pop in (40, 10):
+            cddo_hs_run(make_function("F1"), RunConfig(pop_size=pop, max_iters=1))
+        assert sizes == [32, 8]
 
     def test_deterministic(self):
         p = make_function("F10")
@@ -85,14 +93,14 @@ class TestHybridRun:
     def test_reduces_to_cddo_when_refresh_disabled(self, monkeypatch):
         # A refresh that draws nothing and never improves leaves plain CDDO
         # with an 80% pattern memory, plus one counted evaluation per iteration.
-        def inert_refresh(pm, hs_params, problem, rng):
+        def inert_refresh(pm, problem, rng):
             return False, np.zeros(problem.dim), math.inf
 
         monkeypatch.setattr(hybrid, "_improvise_refresh", inert_refresh)
         p = make_function("F9")
         cfg = RunConfig(pop_size=16, max_iters=120, base_seed=123)
         hyb = cddo_hs_run(p, cfg)
-        plain = cddo_run(p, cfg, CddoParams(pm_size=math.ceil(0.8 * cfg.pop_size)))
+        plain = _run_engine(p, cfg, hybrid.PM_FRACTION, 0)
         assert np.array_equal(hyb.trace, plain.trace)
         assert hyb.evals == plain.evals + cfg.max_iters
 
