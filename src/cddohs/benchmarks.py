@@ -72,14 +72,13 @@ def f6_step(x):
     return float(np.sum(np.floor(x + 0.5) ** 2))
 
 
-def f7_quartic_noise(x, rng):
-    i = np.arange(1, x.size + 1)
-    return float(np.sum(i * x ** 4) + rng.random())
-
-
 def f7_deterministic_part(x):
     i = np.arange(1, x.size + 1)
     return float(np.sum(i * x ** 4))
+
+
+def f7_quartic_noise(x, rng):
+    return f7_deterministic_part(x) + rng.random()
 
 
 def f8_schwefel(x):
@@ -175,66 +174,65 @@ def f19_hartmann3(x):
 # -- registry -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BenchmarkSpec:
-    id: str
+@dataclass(frozen=True, kw_only=True)
+class BenchmarkSpec(Problem):
+    """A registry entry: the Problem the optimizers run, plus its table metadata."""
+
     family: str  # unimodal | multimodal | fixed-dimension
-    dim: int
-    lower: float
-    upper: float
-    f_min: float
-    fn: object
-    stochastic: bool = False
+    f_min: float  # a lower bound within 1e-6 of the global minimum
     minimizer: Optional[tuple] = None  # a known global minimizer, when exact/canonical
 
 
 _U, _M, _F = "unimodal", "multimodal", "fixed-dimension"
 
+# Each entry is built once; it is frozen, so every caller shares it.
 SPECS: dict[str, BenchmarkSpec] = {
     s.id: s
     for s in [
-        BenchmarkSpec("F1", _U, 10, -100, 100, 0.0, f1_sphere, minimizer=(0.0,) * 10),
-        BenchmarkSpec("F2", _U, 10, -10, 10, 0.0, f2_sum_and_product, minimizer=(0.0,) * 10),
-        BenchmarkSpec("F3", _U, 10, -30, 30, 0.0, f3_rotated_hyper_ellipsoid, minimizer=(0.0,) * 10),
-        BenchmarkSpec("F4", _U, 10, -100, 100, 0.0, f4_max_abs, minimizer=(0.0,) * 10),
-        BenchmarkSpec("F5", _U, 10, -30, 30, 0.0, f5_rosenbrock, minimizer=(1.0,) * 10),
-        BenchmarkSpec("F6", _U, 10, -100, 100, 0.0, f6_step, minimizer=(0.0,) * 10),
-        BenchmarkSpec("F7", _U, 10, -1.28, 1.28, 0.0, f7_quartic_noise, stochastic=True),
+        BenchmarkSpec("F1", 10, -100.0, 100.0, f1_sphere, family=_U, f_min=0.0, minimizer=(0.0,) * 10),
+        BenchmarkSpec("F2", 10, -10.0, 10.0, f2_sum_and_product, family=_U, f_min=0.0,
+                      minimizer=(0.0,) * 10),
+        BenchmarkSpec("F3", 10, -30.0, 30.0, f3_rotated_hyper_ellipsoid, family=_U, f_min=0.0,
+                      minimizer=(0.0,) * 10),
+        BenchmarkSpec("F4", 10, -100.0, 100.0, f4_max_abs, family=_U, f_min=0.0, minimizer=(0.0,) * 10),
+        BenchmarkSpec("F5", 10, -30.0, 30.0, f5_rosenbrock, family=_U, f_min=0.0, minimizer=(1.0,) * 10),
+        BenchmarkSpec("F6", 10, -100.0, 100.0, f6_step, family=_U, f_min=0.0, minimizer=(0.0,) * 10),
+        BenchmarkSpec("F7", 10, -1.28, 1.28, f7_quartic_noise, stochastic=True, family=_U, f_min=0.0),
         # Schwefel at dim 30: global min -418.9829*dim at x_i = 420.9687
-        BenchmarkSpec("F8", _M, 30, -500, 500, -12569.487, f8_schwefel, minimizer=(420.9687,) * 30),
-        BenchmarkSpec("F9", _M, 10, -10, 10, 0.0, f9_rastrigin, minimizer=(0.0,) * 10),
-        BenchmarkSpec("F10", _M, 10, -32, 32, 0.0, f10_ackley, minimizer=(0.0,) * 10),
-        BenchmarkSpec("F11", _M, 10, -600, 600, 0.0, f11_griewank, minimizer=(0.0,) * 10),
-        BenchmarkSpec("F12", _M, 10, -50, 50, 0.0, f12_penalized1, minimizer=(-1.0,) * 10),
-        BenchmarkSpec("F13", _M, 30, -50, 50, 0.0, f13_penalized2, minimizer=(1.0,) * 30),
-        BenchmarkSpec("F14", _F, 2, -65, 65, 0.9980038, f14_foxholes, minimizer=(-32.0, -32.0)),
-        BenchmarkSpec("F15", _F, 4, -5, 5, 0.0003, f15_kowalik,
+        BenchmarkSpec("F8", 30, -500.0, 500.0, f8_schwefel, family=_M, f_min=-12569.487,
+                      minimizer=(420.9687,) * 30),
+        BenchmarkSpec("F9", 10, -10.0, 10.0, f9_rastrigin, family=_M, f_min=0.0, minimizer=(0.0,) * 10),
+        BenchmarkSpec("F10", 10, -32.0, 32.0, f10_ackley, family=_M, f_min=0.0, minimizer=(0.0,) * 10),
+        BenchmarkSpec("F11", 10, -600.0, 600.0, f11_griewank, family=_M, f_min=0.0,
+                      minimizer=(0.0,) * 10),
+        BenchmarkSpec("F12", 10, -50.0, 50.0, f12_penalized1, family=_M, f_min=0.0,
+                      minimizer=(-1.0,) * 10),
+        BenchmarkSpec("F13", 30, -50.0, 50.0, f13_penalized2, family=_M, f_min=0.0,
+                      minimizer=(1.0,) * 30),
+        BenchmarkSpec("F14", 2, -65.0, 65.0, f14_foxholes, family=_F, f_min=0.9980038,
+                      minimizer=(-32.0, -32.0)),
+        BenchmarkSpec("F15", 4, -5.0, 5.0, f15_kowalik, family=_F, f_min=0.0003,
                       minimizer=(0.192833, 0.190836, 0.123117, 0.135766)),
-        BenchmarkSpec("F16", _F, 2, -5, 5, -1.0316285, f16_six_hump_camel,
+        BenchmarkSpec("F16", 2, -5.0, 5.0, f16_six_hump_camel, family=_F, f_min=-1.0316285,
                       minimizer=(0.089842, -0.712656)),
-        BenchmarkSpec("F17", _F, 2, -5, 5, 0.3978873, f17_branin, minimizer=(np.pi, 2.275)),
-        BenchmarkSpec("F18", _F, 2, -2, 2, 3.0, f18_goldstein_price, minimizer=(0.0, -1.0)),
+        BenchmarkSpec("F17", 2, -5.0, 5.0, f17_branin, family=_F, f_min=0.3978873,
+                      minimizer=(np.pi, 2.275)),
+        BenchmarkSpec("F18", 2, -2.0, 2.0, f18_goldstein_price, family=_F, f_min=3.0,
+                      minimizer=(0.0, -1.0)),
         # the canonical minimizer sits outside the table's printed [1,3] box;
         # certification probes the formula, the box only constrains the search
-        BenchmarkSpec("F19", _F, 3, 1, 3, -3.862783, f19_hartmann3,
+        BenchmarkSpec("F19", 3, 1.0, 3.0, f19_hartmann3, family=_F, f_min=-3.862783,
                       minimizer=(0.114614, 0.555649, 0.852547)),
     ]
 }
 
 FUNCTION_IDS = [f"F{i}" for i in range(1, 20)]
 
-# One Problem per registry entry, built once; Problem is frozen, so callers share it.
-_PROBLEMS: dict[str, Problem] = {
-    s.id: Problem(id=s.id, dim=s.dim, lower=float(s.lower), upper=float(s.upper),
-                  objective=s.fn, stochastic=s.stochastic)
-    for s in SPECS.values()
-}
 
-
-def make_function(func_id: str) -> Problem:
-    """The Problem for one of F1..F19."""
+def make_function(func_id: str) -> BenchmarkSpec:
+    """The registry entry (a Problem) for one of F1..F19."""
     try:
-        return _PROBLEMS[func_id]
+        return SPECS[func_id]
     except KeyError:
         raise KeyError(f"unknown benchmark id {func_id!r}; expected one of F1..F19") from None
 

@@ -48,9 +48,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    if args.reference != "table2":
-        print(f"error: unknown reference {args.reference!r}", file=sys.stderr)
-        return 2
     summary = load_summary(args.summary)
     report = compare_to_reference(summary)
     cols = ["func", "measured_cddo-hs", "ref_cddo-hs", "agree_vs_cddo",
@@ -84,7 +81,7 @@ def cmd_list(_args) -> int:
     print("id\tfamily\tdim\tlower\tupper\tf_min\tstochastic")
     for fid in FUNCTION_IDS:
         s = SPECS[fid]
-        print(f"{s.id}\t{s.family}\t{s.dim}\t{s.lower}\t{s.upper}\t{s.f_min}\t{s.stochastic}")
+        print(f"{s.id}\t{s.family}\t{s.dim}\t{s.lower:g}\t{s.upper:g}\t{s.f_min}\t{s.stochastic}")
     return 0
 
 
@@ -107,7 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="compare a summary.csv or .json to the published table")
     p_cmp.add_argument("--summary", required=True, help="summary.csv or summary.json from run")
-    p_cmp.add_argument("--reference", default="table2")
     p_cmp.set_defaults(fn=cmd_compare)
 
     p_rank = sub.add_parser("rank", help="rank algorithms from per-function averages")

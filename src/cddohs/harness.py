@@ -90,7 +90,7 @@ def _write(path: Path, header: list[str], rows):
 def run_experiment(plan: ExperimentPlan) -> dict:
     """Execute the grid and write summary/convergence/p-value artifacts.
 
-    Returns {"summary": {(algo, func): SampleSummary-like dict}, "paths": [...]}.
+    Returns {"paths": [...]}, every file written, CSV before JSON.
     """
     plan.validate()
     out = Path(plan.output_dir)
@@ -135,9 +135,7 @@ def run_experiment(plan: ExperimentPlan) -> dict:
         for name, (header, rows) in tables.items():
             paths.append(out / f"{name}.{fmt}")
             _write(paths[-1], header, rows)
-
-    summary = {(row[0], row[1]): dict(zip(SUMMARY_HEADER, row)) for row in summary_rows}
-    return {"summary": summary, "paths": [str(p) for p in paths]}
+    return {"paths": [str(p) for p in paths]}
 
 
 def load_summary(path) -> dict:
@@ -148,12 +146,14 @@ def load_summary(path) -> dict:
             summary = {(row["algo"], row["func"]): row for row in rows}
         except TypeError:  # JSON that is not a list of row objects
             raise ValueError(f"{path}: not a list of summary rows") from None
+        except KeyError as e:
+            raise ValueError(f"{path}: no {e.args[0]!r} column") from None
     if not summary:  # a header-only CSV, [] or {}: nothing to compare
         raise ValueError(f"{path}: no summary rows")
     return summary
 
 
-def compare_to_reference(summary: dict, table=None) -> dict:
+def compare_to_reference(summary: dict) -> dict:
     """Compare measured averages against the published classical-suite table.
 
     Per function: measured/published averages, whether the measured winner of
@@ -161,7 +161,7 @@ def compare_to_reference(summary: dict, table=None) -> dict:
     and the log10 gap between measured and published hybrid averages. Missing
     cells are reported as gaps, not failures.
     """
-    table = table or reference.TABLE2
+    table = reference.TABLE2
     rows = []
     wins_vs_hs = wins_vs_cddo = 0
     for func in sorted(table, key=lambda f: int(f[1:])):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,18 +25,14 @@ def summarize(samples) -> SampleSummary:
     return SampleSummary(avg=avg, std=std, n=int(xs.size))
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    """Ranks 1..n with ties assigned the mean of the tied ranks."""
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(values.size, dtype=float)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+def _midranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks 1..n with ties given the mean of their ranks, and the size of
+    each tie group. The one place that ranks ties; NaN has no rank."""
+    if np.isnan(values).any():
+        raise ValueError("cannot rank NaN")
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)  # rank of each group's last member
+    return (last - (counts - 1) / 2.0)[group], counts
 
 
 # exact enumeration is used while C(n, n1) stays below this (covers n1+n2 <= 16)
@@ -43,25 +40,13 @@ _EXACT_ENUMERATION_LIMIT = 20_000
 
 
 def _exact_two_sided_p(ranks: np.ndarray, n1: int) -> float:
-    """Enumerate every assignment of n1 pooled ranks to the first sample."""
-    import itertools
-
+    """Share of the n1-subsets of the pooled ranks whose rank sum lies at least
+    as far from its mean n1(n+1)/2 as the first sample's (the first subset)."""
     n = ranks.size
-    n2 = n - n1
-    mean_u = n1 * n2 / 2.0
-
-    def deviation(idx) -> float:
-        r1 = sum(ranks[i] for i in idx)
-        u1 = n1 * n2 + n1 * (n1 + 1) / 2.0 - r1
-        return abs(u1 - mean_u)
-
-    observed = deviation(range(n1))
-    total = extreme = 0
-    for idx in itertools.combinations(range(n), n1):
-        total += 1
-        if deviation(idx) >= observed - 1e-12:
-            extreme += 1
-    return extreme / total
+    subsets = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), n1)),
+                          dtype=np.intp).reshape(-1, n1)
+    deviation = np.abs(ranks[subsets].sum(axis=1) - n1 * (n + 1) / 2.0)
+    return int(np.count_nonzero(deviation >= deviation[0])) / deviation.size
 
 
 def wilcoxon_rank_sum(a, b) -> float:
@@ -77,9 +62,8 @@ def wilcoxon_rank_sum(a, b) -> float:
     n1, n2 = a.size, b.size
     if n1 < 2 or n2 < 2:
         raise ValueError("both samples need at least 2 elements")
-    pooled = np.concatenate([a, b])
-    ranks = _midranks(pooled)
-    if np.all(pooled == pooled[0]):
+    ranks, counts = _midranks(np.concatenate([a, b]))
+    if counts.size == 1:
         return 1.0  # no evidence either way
     if math.comb(n1 + n2, n1) <= _EXACT_ENUMERATION_LIMIT:
         return _exact_two_sided_p(ranks, n1)
@@ -89,11 +73,7 @@ def wilcoxon_rank_sum(a, b) -> float:
 
     # tie correction: 1 - sum(t^3 - t) / (N^3 - N)
     n = n1 + n2
-    _, counts = np.unique(pooled, return_counts=True)
-    tie_term = float(np.sum(counts ** 3 - counts))
-    correction = 1.0 - tie_term / (n ** 3 - n)
-    if correction <= 0.0:
-        return 1.0  # all values identical: no evidence either way
+    correction = 1.0 - float(np.sum(counts ** 3 - counts)) / (n ** 3 - n)
     sd = math.sqrt(correction * n1 * n2 * (n + 1) / 12.0)
 
     mean_u = n1 * n2 / 2.0
@@ -136,11 +116,8 @@ def rank_algorithms(results: dict) -> RankTable:
 
     placements: dict = {}
     for func, row in results.items():
-        placements[func] = {}
-        for a in algos:
-            less = sum(1 for other in algos if row[other] < row[a])
-            tied = sum(1 for other in algos if row[other] == row[a])
-            placements[func][a] = less + (tied + 1) / 2.0
+        ranks, _ = _midranks(np.array([row[a] for a in algos], dtype=float))
+        placements[func] = dict(zip(algos, ranks.tolist()))
     scores = {
         a: float(np.mean([placements[f][a] for f in results])) for a in algos
     }

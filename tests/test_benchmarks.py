@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from cddohs import benchmarks
 from cddohs.benchmarks import FUNCTION_IDS, SPECS, evaluate_at, make_function
-from cddohs.core import make_rng
+from cddohs.core import Problem, make_rng
 
 # functions whose known minimizer certifies f_min (relative 1e-3, abs floor
 # 1e-6 so exact-zero optima like F1's are checked tightly)
@@ -56,7 +56,10 @@ class TestRegistry:
             evaluate_at("F1", [0.0, 0.0])
 
     def test_registry_problems_are_built_once(self):
-        assert all(make_function(f) is make_function(f) for f in FUNCTION_IDS)
+        # one record per function: the registry entry is the Problem itself
+        for f in FUNCTION_IDS:
+            assert make_function(f) is SPECS[f]
+            assert isinstance(SPECS[f], Problem)
 
     def test_evaluate_at_rejects_what_evaluate_rejects(self):
         # evaluate_at goes through core.evaluate: NaN and a missing RNG raise

@@ -183,6 +183,19 @@ class TestCli:
         assert main(["compare", "--summary", str(tmp_path / name)]) == 1
         assert "no summary rows" in capsys.readouterr().err
 
+    def test_compare_names_missing_column(self, tmp_path, capsys):
+        path = tmp_path / "summary.csv"
+        path.write_text("func,avg\nF1,1.0\n")
+        assert main(["compare", "--summary", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: no 'algo' column\n"
+
+    def test_rank_rejects_nan(self, tmp_path, capsys):
+        path = tmp_path / "avgs.csv"
+        path.write_text("func,a,b\nF1,nan,1\nF2,2,1\n")
+        assert main(["rank", "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "NaN" in captured.err and captured.out == ""
+
     def test_unknown_algo_exit_code(self, tmp_path, capsys):
         rc = main(["run", "--algo", "simulated-annealing", "--func", "F1",
                    "--out", str(tmp_path)])

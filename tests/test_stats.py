@@ -97,9 +97,8 @@ class TestWilcoxon:
             na, nb = rng.integers(2, 9), rng.integers(2, 9)
             a = rng.integers(0, 10, size=na).tolist()
             b = rng.integers(0, 10, size=nb).tolist()
-            approx = wilcoxon_rank_sum(a, b)
-            exact = exact_rank_sum_p(a, b)
-            assert abs(approx - exact) <= 0.05, (a, b, approx, exact)
+            # every pair takes the exact branch, so it must equal the oracle
+            assert wilcoxon_rank_sum(a, b) == exact_rank_sum_p(a, b), (a, b)
 
     def test_approximation_branch_near_exact_oracle(self):
         # sizes chosen so comb(n, n1) exceeds the exact-enumeration cutoff,
@@ -111,6 +110,17 @@ class TestWilcoxon:
             approx = wilcoxon_rank_sum(a, b)
             exact = exact_rank_sum_p(a, b)
             assert abs(approx - exact) <= 0.05, (a, b, approx, exact)
+
+    def test_approximation_branch_with_ties_pin(self):
+        # 10 vs 10 takes the tie-corrected normal approximation; the literal
+        # pins its bits, so a change to midranks or tie counts shows up
+        a = [0, 0, 1, 1, 1, 2, 3, 3, 5, 7]
+        b = [2, 3, 3, 4, 4, 4, 6, 7, 7, 7]
+        assert wilcoxon_rank_sum(a, b) == 0.01969887959945682
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            wilcoxon_rank_sum([1, math.nan, 2], [3, 4, math.nan])
 
     def test_invariant_under_monotone_transforms(self):
         rng = np.random.default_rng(3)
@@ -138,6 +148,26 @@ class TestRanking:
     def test_inconsistent_rows_rejected(self):
         with pytest.raises(ValueError):
             rank_algorithms({"F1": {"a": 1.0}, "F2": {"b": 1.0}})
+
+    def test_placements_match_counting_reference(self):
+        # reference: (number strictly better) + (number tied, itself included, + 1) / 2
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            row = {f"a{i}": float(v) for i, v in enumerate(rng.integers(0, 4, rng.integers(1, 8)))}
+            placements = rank_algorithms({"F1": row}).placements["F1"]
+            for a, v in row.items():
+                less = sum(w < v for w in row.values())
+                tied = sum(w == v for w in row.values())
+                assert placements[a] == less + (tied + 1) / 2.0, row
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            rank_algorithms({"F1": {"a": math.nan, "b": 1.0}, "F2": {"a": 2.0, "b": 1.0}})
+
+    def test_table6_scores_pin(self):
+        assert rank_algorithms(TABLE6).scores == {
+            "BOA": 6.2, "CDDO-HS": 2.35, "ChOA": 6.0, "DCSO": 2.95, "FOX": 2.85,
+            "GWO-WOA": 3.85, "WOA-BAT": 3.8}
 
     def test_reproduces_published_ranking(self):
         t = rank_algorithms(TABLE6)
