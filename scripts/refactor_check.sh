@@ -1,0 +1,29 @@
+#!/bin/sh
+# Refactor check: print six digests that a change which should not alter
+# results must leave unchanged (see "Refactor check" in README.md).
+#
+#   sh scripts/refactor_check.sh
+#
+# Runs both fixed-seed grids of the README in a temporary directory and
+# prints, one per line: the digest of each grid's artifacts, of the printed
+# path lists (with the output directory cut off), of `compare` on
+# summary.csv and then summary.json, of `rank --reference table6` and of
+# `list`.
+set -eu
+cd "$(dirname "$0")/.."
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+cddohs() { PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 -m cddohs.cli "$@"; }
+digest() { sha256sum | cut -d' ' -f1; }
+
+cddohs run --algo all --func all --runs 4 --iters 30 --seed 2023 --out "$tmp/X" >"$tmp/paths"
+cddohs run --algo all --func F6,F11,F16 --runs 10 --iters 30 --seed 2023 --out "$tmp/Y" >>"$tmp/paths"
+
+echo "artifacts X  $(cd "$tmp/X" && sha256sum * | digest)"
+echo "artifacts Y  $(cd "$tmp/Y" && sha256sum * | digest)"
+echo "paths        $(sed "s|^$tmp/||" "$tmp/paths" | digest)"
+echo "compare      $({ cddohs compare --summary "$tmp/X/summary.csv"
+                       cddohs compare --summary "$tmp/X/summary.json"; } | digest)"
+echo "rank         $(cddohs rank --reference table6 | digest)"
+echo "list         $(cddohs list | digest)"

@@ -3,22 +3,21 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
 from . import reference
 from .benchmarks import FUNCTION_IDS, SPECS
 from .core import RunConfig
-from .harness import ALGORITHMS, ExperimentPlan, compare_to_reference, load_summary, run_experiment
+from .harness import (ALGORITHMS, FORMATS, ExperimentPlan, compare_to_reference, load_averages,
+                      load_summary, run_experiment)
 from .stats import rank_algorithms
 
 
 def _parse_funcs(spec: str) -> list[str]:
     if spec in ("all", "classical"):
         return list(FUNCTION_IDS)
-    funcs = [f.strip() for f in spec.split(",") if f.strip()]
-    return funcs
+    return [f.strip() for f in spec.split(",") if f.strip()]
 
 
 def _parse_algos(spec: str) -> list[str]:
@@ -34,7 +33,7 @@ def cmd_run(args) -> int:
         config=RunConfig(pop_size=args.pop, max_iters=args.iters,
                          n_runs=args.runs, base_seed=args.seed),
         output_dir=Path(args.out),
-        formats=("csv", "json") if args.format == "both" else (args.format,),
+        formats=FORMATS if args.format == "both" else (args.format,),
     )
     try:
         plan.validate()
@@ -48,8 +47,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    summary = load_summary(args.summary)
-    report = compare_to_reference(summary)
+    report = compare_to_reference(load_summary(args.summary))
     cols = ["func", "measured_cddo-hs", "ref_cddo-hs", "agree_vs_cddo",
             "agree_vs_hs", "log10_gap"]
     print("\t".join(cols))
@@ -60,17 +58,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    if args.reference == "table6":
-        results = reference.TABLE6
-    elif args.input:
-        results = {}
-        with open(args.input, newline="") as fh:
-            for row in csv.DictReader(fh):
-                func = row.pop("func")
-                results[func] = {a: float(v) for a, v in row.items()}
-    else:
-        print("error: provide --input or --reference table6", file=sys.stderr)
-        return 2
+    results = reference.TABLE6 if args.reference else load_averages(args.input)
     table = rank_algorithms(results)
     for algo in sorted(table.scores, key=table.scores.get):
         print(f"{algo}\t{table.scores[algo]:.3f}")
@@ -99,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--runs", type=int, default=30)
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--out", default="results")
-    p_run.add_argument("--format", choices=["csv", "json", "both"], default="both")
+    p_run.add_argument("--format", choices=[*FORMATS, "both"], default="both")
     p_run.set_defaults(fn=cmd_run)
 
     p_cmp = sub.add_parser("compare", help="compare a summary.csv or .json to the published table")
@@ -107,8 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(fn=cmd_compare)
 
     p_rank = sub.add_parser("rank", help="rank algorithms from per-function averages")
-    p_rank.add_argument("--input", help="CSV with a 'func' column plus one column per algorithm")
-    p_rank.add_argument("--reference", help="use embedded data (table6)")
+    source = p_rank.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", help="CSV or JSON with a 'func' column plus one column per algorithm")
+    source.add_argument("--reference", choices=["table6"], help="use embedded data")
     p_rank.set_defaults(fn=cmd_rank)
 
     p_list = sub.add_parser("list", help="print the benchmark function registry")

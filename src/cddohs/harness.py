@@ -5,7 +5,9 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,6 +28,7 @@ ALGORITHMS = {
     "cddo-hs": cddo_hs_run,
 }
 
+FORMATS = ("csv", "json")  # artifact formats, written in this order
 SUMMARY_HEADER = ["algo", "func", "avg", "std", "best", "worst", "n_runs", "seed"]
 CONVERGENCE_HEADER = ["run", "iter", "gbest"]
 PVALUES_HEADER = ["func", "algo_a", "algo_b", "p_value"]
@@ -37,21 +40,17 @@ class ExperimentPlan:
     functions: list[str]
     config: RunConfig = field(default_factory=RunConfig)
     output_dir: Path = Path("results")
-    formats: tuple[str, ...] = ("csv", "json")
+    formats: tuple[str, ...] = FORMATS
 
     def validate(self):
-        if not self.algorithms or not self.functions:
-            raise ValueError("need at least one algorithm and one function")
-        for a in self.algorithms:
-            if a not in ALGORITHMS:
-                raise ValueError(f"unknown algorithm {a!r}; choose from {sorted(ALGORITHMS)}")
-        for f in self.functions:
-            if f not in FUNCTION_IDS:
-                raise ValueError(f"unknown function {f!r}; expected F1..F19")
-        for fmt in self.formats:
-            if fmt not in ("csv", "json"):
-                raise ValueError(f"unknown format {fmt!r}")
-        for kind, ids in (("algorithm", self.algorithms), ("function", self.functions)):
+        for kind, ids, known in (("algorithm", self.algorithms, ALGORITHMS),
+                                 ("function", self.functions, FUNCTION_IDS),
+                                 ("format", self.formats, FORMATS)):
+            if not ids:
+                raise ValueError(f"need at least one {kind}")
+            for i in ids:
+                if i not in known:
+                    raise ValueError(f"unknown {kind} {i!r}; choose from {', '.join(known)}")
             dups = sorted({i for i in ids if ids.count(i) > 1})
             if dups:
                 raise ValueError(f"duplicate {kind} {', '.join(dups)}")
@@ -96,36 +95,21 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     out = Path(plan.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    cells: dict[tuple[str, str], list[RunResult]] = {}
-    for algo in sorted(plan.algorithms):
-        for func in sorted(plan.functions, key=lambda f: int(f[1:])):
-            cells[(algo, func)] = run_cell(algo, func, plan.config)
-
-    summary_rows = []
-    for (algo, func), results in cells.items():
-        fits = [r.best_fitness for r in results]
-        s = summarize(fits)
-        seed = cell_seed(plan.config.base_seed, algo, func)
-        summary_rows.append(
-            [algo, func, _fmt(s.avg), _fmt(s.std), _fmt(min(fits)), _fmt(max(fits)),
-             s.n, seed]
-        )
-
-    pvalue_rows = []
     algos = sorted(plan.algorithms)
-    for func in sorted(plan.functions, key=lambda f: int(f[1:])):
-        for i in range(len(algos)):
-            for j in range(i + 1, len(algos)):
-                a, b = algos[i], algos[j]
-                p = wilcoxon_rank_sum(
-                    [r.best_fitness for r in cells[(a, func)]],
-                    [r.best_fitness for r in cells[(b, func)]],
-                )
-                pvalue_rows.append([func, a, b, _fmt(p)])
+    funcs = [f for f in FUNCTION_IDS if f in plan.functions]
+    cells = {(a, f): run_cell(a, f, plan.config) for a in algos for f in funcs}
+    finals = {cell: [r.best_fitness for r in results] for cell, results in cells.items()}
+    summary_rows = []
+    for (algo, func), fits in finals.items():
+        s = summarize(fits)
+        summary_rows.append([algo, func, _fmt(s.avg), _fmt(s.std), _fmt(min(fits)),
+                             _fmt(max(fits)), s.n, cells[algo, func][0].seed])
+    pvalue_rows = [[f, a, b, _fmt(wilcoxon_rank_sum(finals[a, f], finals[b, f]))]
+                   for f in funcs for a, b in itertools.combinations(algos, 2)]
 
     # CSV before JSON; convergence rows are built one cell at a time
     paths: list[Path] = []
-    for fmt in [f for f in ("csv", "json") if f in plan.formats]:
+    for fmt in [f for f in FORMATS if f in plan.formats]:
         tables = {"summary": (SUMMARY_HEADER, summary_rows),
                   "pvalues": (PVALUES_HEADER, pvalue_rows)}
         for (algo, func), results in cells.items():
@@ -138,50 +122,76 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     return {"paths": [str(p) for p in paths]}
 
 
-def load_summary(path) -> dict:
-    """Read a summary.csv or summary.json, by suffix, into {(algo, func): {column: value}}."""
+def _rows(path, *columns: str) -> list[dict]:
+    """The rows of a CSV or JSON table (by suffix) as dicts that hold all of ``columns``."""
     with open(path, newline="") as fh:
-        rows = json.load(fh) if Path(path).suffix == ".json" else csv.DictReader(fh)
-        try:
-            summary = {(row["algo"], row["func"]): row for row in rows}
-        except TypeError:  # JSON that is not a list of row objects
-            raise ValueError(f"{path}: not a list of summary rows") from None
-        except KeyError as e:
-            raise ValueError(f"{path}: no {e.args[0]!r} column") from None
-    if not summary:  # a header-only CSV, [] or {}: nothing to compare
+        rows = json.load(fh) if Path(path).suffix == ".json" else list(csv.DictReader(fh))
+    if not rows:  # a header-only CSV, [] or {}: nothing to read
         raise ValueError(f"{path}: no summary rows")
+    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+        raise ValueError(f"{path}: not a list of summary rows")
+    for n, row in enumerate(rows, 1):
+        if None in row:  # csv.DictReader's key for the cells beyond the header
+            raise ValueError(f"{path}: row {n} has more cells than the header")
+        missing = [c for c in columns if c not in row]
+        if missing:
+            raise ValueError(f"{path}: no {missing[0]!r} column")
+    return rows
+
+
+def _number(path, cell: str, value) -> float:
+    """One table cell as a float other than NaN; the error names the file and the cell."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):  # TypeError: None, the missing cell of a short row
+        raise ValueError(f"{path}: {cell}: not a number: {value!r}") from None
+    if math.isnan(number):
+        raise ValueError(f"{path}: {cell}: NaN")
+    return number
+
+
+def load_summary(path) -> dict:
+    """Read a summary.csv or summary.json, by suffix, into {(algo, func): avg}."""
+    summary = {}
+    for row in _rows(path, "algo", "func", "avg"):
+        algo, func = row["algo"], row["func"]
+        summary[algo, func] = _number(path, f"{algo}/{func} avg", row["avg"])
     return summary
 
 
+def load_averages(path) -> dict:
+    """Read a CSV or JSON table with a 'func' column and one column of averages
+    per algorithm into {func: {algo: avg}}, the input of ``rank_algorithms``."""
+    averages = {}
+    for row in _rows(path, "func"):
+        func = row.pop("func")
+        averages[func] = {algo: _number(path, f"{func}/{algo}", v) for algo, v in row.items()}
+    return averages
+
+
 def compare_to_reference(summary: dict) -> dict:
-    """Compare measured averages against the published classical-suite table.
+    """Compare measured averages, {(algo, func): avg} as ``load_summary`` returns
+    them, against the published classical-suite table.
 
     Per function: measured/published averages, whether the measured winner of
-    each pair (hybrid vs cddo, hybrid vs hs) agrees with the published winner,
+    each pair (hybrid vs hs, hybrid vs cddo) agrees with the published winner,
     and the log10 gap between measured and published hybrid averages. Missing
     cells are reported as gaps, not failures.
     """
-    table = reference.TABLE2
     rows = []
-    wins_vs_hs = wins_vs_cddo = 0
-    for func in sorted(table, key=lambda f: int(f[1:])):
+    wins = {"hs": 0, "cddo": 0}
+    for func in FUNCTION_IDS:
         row = {"func": func}
-        measured = {a: summary.get((a, func)) for a in ("cddo-hs", "cddo", "hs")}
-        for algo, cell in measured.items():
-            row[f"measured_{algo}"] = float(cell["avg"]) if cell else None
-            row[f"ref_{algo}"] = table[func][algo][0]
-        if measured["cddo-hs"] and measured["hs"]:
-            m = row["measured_cddo-hs"] < row["measured_hs"]
-            p = table[func]["cddo-hs"][0] < table[func]["hs"][0]
-            row["agree_vs_hs"] = m == p
-            wins_vs_hs += m
-        if measured["cddo-hs"] and measured["cddo"]:
-            m = row["measured_cddo-hs"] < row["measured_cddo"]
-            p = table[func]["cddo-hs"][0] < table[func]["cddo"][0]
-            row["agree_vs_cddo"] = m == p
-            wins_vs_cddo += m
-        if measured["cddo-hs"]:
-            mv, pv = row["measured_cddo-hs"], row["ref_cddo-hs"]
+        for algo in ("cddo-hs", "cddo", "hs"):
+            row[f"measured_{algo}"] = summary.get((algo, func))
+            row[f"ref_{algo}"] = reference.TABLE2[func][algo][0]
+        mv, pv = row["measured_cddo-hs"], row["ref_cddo-hs"]
+        if mv is not None:
+            for base in wins:
+                if row[f"measured_{base}"] is not None:
+                    won = mv < row[f"measured_{base}"]
+                    row[f"agree_vs_{base}"] = won == (pv < row[f"ref_{base}"])
+                    wins[base] += won
             if mv == pv:
                 row["log10_gap"] = 0.0
             elif mv == 0.0 or pv == 0.0:
@@ -189,4 +199,4 @@ def compare_to_reference(summary: dict) -> dict:
             else:
                 row["log10_gap"] = float(np.log10(abs(mv)) - np.log10(abs(pv)))
         rows.append(row)
-    return {"rows": rows, "wins_vs_hs": wins_vs_hs, "wins_vs_cddo": wins_vs_cddo}
+    return {"rows": rows, "wins_vs_hs": wins["hs"], "wins_vs_cddo": wins["cddo"]}

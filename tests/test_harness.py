@@ -49,6 +49,12 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="duplicate function F16"):
             plan.validate()
 
+    def test_empty_formats(self):
+        # no format would run the whole grid and write nothing
+        plan = ExperimentPlan(algorithms=["hs"], functions=["F1"], config=TINY, formats=())
+        with pytest.raises(ValueError, match="need at least one format"):
+            plan.validate()
+
 
 class TestSeeding:
     def test_cell_seeds_differ_across_cells(self):
@@ -145,6 +151,58 @@ class TestCompare:
         assert by_func["F2"]["measured_cddo-hs"] is None  # missing cell is a gap
         assert report["wins_vs_hs"] <= 19
 
+    def test_report_pin(self, tmp_path):
+        # F1: published hybrid average, both baselines beaten as published;
+        # F2: no hybrid cell; F3: no hs cell; F10: measured zeros (a zero
+        # average is a measured cell, not a gap); F11: both pairs disagree.
+        path = tmp_path / "summary.csv"
+        path.write_text(
+            "algo,func,avg,std,best,worst,n_runs,seed\n"
+            "cddo-hs,F1,5.087e-33,0.0,0.0,0.0,3,1\n"
+            "cddo,F1,1.0e-60,0.0,0.0,0.0,3,2\n"
+            "hs,F1,1.0e+00,0.0,0.0,0.0,3,3\n"
+            "cddo,F2,1.0e+00,0.0,0.0,0.0,3,4\n"
+            "hs,F2,2.0e+00,0.0,0.0,0.0,3,5\n"
+            "cddo-hs,F3,1.0e-28,0.0,0.0,0.0,3,6\n"
+            "cddo,F3,1.0e-50,0.0,0.0,0.0,3,7\n"
+            "cddo-hs,F10,0.0e+00,0.0,0.0,0.0,3,8\n"
+            "cddo,F10,0.0e+00,0.0,0.0,0.0,3,9\n"
+            "hs,F10,1.0e+00,0.0,0.0,0.0,3,10\n"
+            "cddo-hs,F11,1.0e-03,0.0,0.0,0.0,3,11\n"
+            "cddo,F11,1.0e-04,0.0,0.0,0.0,3,12\n"
+            "hs,F11,1.0e-05,0.0,0.0,0.0,3,13\n")
+        report = compare_to_reference(load_summary(path))
+        measured = {
+            "F1": {"func": "F1", "measured_cddo-hs": 5.087e-33, "ref_cddo-hs": 5.087e-33,
+                   "measured_cddo": 1e-60, "ref_cddo": 1.328e-57, "measured_hs": 1.0,
+                   "ref_hs": 285.0, "agree_vs_hs": True, "agree_vs_cddo": True,
+                   "log10_gap": 0.0},
+            "F2": {"func": "F2", "measured_cddo-hs": None, "ref_cddo-hs": 4.921e-17,
+                   "measured_cddo": 1.0, "ref_cddo": 2.453e-32, "measured_hs": 2.0,
+                   "ref_hs": 3.005},
+            "F3": {"func": "F3", "measured_cddo-hs": 1e-28, "ref_cddo-hs": 1.249e-29,
+                   "measured_cddo": 1e-50, "ref_cddo": 2.736e-39, "measured_hs": None,
+                   "ref_hs": 17540.0, "agree_vs_cddo": True,
+                   "log10_gap": 0.9034375616258643},
+            "F10": {"func": "F10", "measured_cddo-hs": 0.0, "ref_cddo-hs": 6.809e-15,
+                    "measured_cddo": 0.0, "ref_cddo": 7.875e-15, "measured_hs": 1.0,
+                    "ref_hs": 5.095, "agree_vs_hs": True, "agree_vs_cddo": False,
+                    "log10_gap": None},
+            "F11": {"func": "F11", "measured_cddo-hs": 0.001, "ref_cddo-hs": 0.0,
+                    "measured_cddo": 0.0001, "ref_cddo": 0.5688, "measured_hs": 1e-05,
+                    "ref_hs": 3.513, "agree_vs_hs": False, "agree_vs_cddo": False,
+                    "log10_gap": None},
+        }
+        assert [r["func"] for r in report["rows"]] == [f"F{i}" for i in range(1, 20)]
+        for row in report["rows"]:
+            if row["func"] in measured:
+                assert row == measured[row["func"]]
+            else:  # no cell at all: only the published averages
+                assert {k: v for k, v in row.items() if not k.startswith("ref_")} == {
+                    "func": row["func"], "measured_cddo-hs": None, "measured_cddo": None,
+                    "measured_hs": None}
+        assert (report["wins_vs_hs"], report["wins_vs_cddo"]) == (2, 0)
+
 
 class TestCli:
     def test_list(self, capsys):
@@ -195,6 +253,34 @@ class TestCli:
         assert main(["rank", "--input", str(path)]) == 1
         captured = capsys.readouterr()
         assert "NaN" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("command,name,text", [
+        pytest.param("rank", "avgs.csv", "func,a,b\nF1,1\n", id="short-row"),
+        pytest.param("rank", "avgs.csv", "func,a,b\nF1,1,2,3\n", id="long-row"),
+        pytest.param("compare", "summary.csv", "algo,func,avg\nhs,F1\n", id="no-avg-value"),
+        pytest.param("compare", "summary.csv", "algo,func,std\nhs,F1,1.0\n", id="no-avg-column"),
+        pytest.param("rank", "avgs.csv", "a,b\n1,2\n", id="no-func-column"),
+        pytest.param("rank", "avgs.csv", "func,a,b\nF1,,1\n", id="empty-cell"),
+        pytest.param("compare", "summary.csv", "algo,func,avg\nhs,F1,abc\n", id="non-numeric-cell"),
+        pytest.param("rank", "avgs.csv", "func,a,b\nF1,nan,1\n", id="nan-cell"),
+    ])
+    def test_malformed_table_names_the_file(self, tmp_path, capsys, command, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        flag = "--summary" if command == "compare" else "--input"
+        assert main([command, flag, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: ")
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("reference", ["table6", "bogus"])
+    def test_rank_takes_one_source(self, tmp_path, capsys, reference):
+        path = tmp_path / "avgs.csv"
+        path.write_text("func,a,b\nF1,1,2\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["rank", "--reference", reference, "--input", str(path)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_unknown_algo_exit_code(self, tmp_path, capsys):
         rc = main(["run", "--algo", "simulated-annealing", "--func", "F1",
