@@ -5,6 +5,12 @@ Each agent ("drawing") per iteration either takes the skill branch
 ratio), takes the creativity branch (rebuilt from a random pattern-memory
 elite) when its golden ratio is near phi, or stays put. An elite archive
 (the pattern memory) is refreshed with the global best every iteration.
+
+One iteration is array work over the population: a single (P, 8) block of
+uniforms gives every agent its hand pressures, golden ratio, branch, rates
+and pattern-memory pick. The agents are still evaluated one at a time, in
+agent order, with the global best updated after each, as in the original
+agent-by-agent method (Abdulhameed & Rashid 2022).
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import core
-from .core import Archive, Problem, RunConfig, RunResult, clamp, evaluate, make_rng, uniform
+from .core import Archive, Problem, RunConfig, RunResult, clamp, evaluate, indices, make_rng, scale
 
 # The paper's protocol: fixed, not settable.
 PHI = 1.618
@@ -27,60 +33,71 @@ SR_LR_HIGH = (0.6, 1.0)
 SR_LR_LOW = (0.0, 0.5)
 
 
+# Columns of the (P, 8) block of uniforms that one iteration draws, one row
+# per agent: RHP, the HP component, two (M, N) golden-ratio index pairs, SR,
+# and LR (skill branch) or the pattern-memory pick (creativity branch).
+U_RHP, U_HP, U_GR, U_SR, U_LR_PM = 0, 1, slice(2, 6), 6, 7
+N_UNIFORMS = 8
+
+
 @dataclass
 class CddoState:
-    # A move always builds a new array and no position is changed in place, so
-    # agents, their bests and gbest may share one array without copies.
-    x: list[np.ndarray]
-    lbest_x: list[np.ndarray]
-    lbest_f: list[float]
-    gbest_x: np.ndarray
+    x: np.ndarray        # (P, d) agent positions
+    lbest_x: np.ndarray  # (P, d) personal bests
+    lbest_f: np.ndarray  # (P,)
+    gbest_x: np.ndarray  # (d,), replaced and never changed in place
     gbest_f: float
     pm: Archive
     evals: int = 0
+    # the RunResult counters of the same names
+    skill: int = 0
+    creativity: int = 0
+    rest: int = 0
+    pm_replacements: int = 0
+    refresh_accepts: int = 0
 
 
-def random_hand_pressure(problem: Problem, rng) -> float:
-    """RHP: a uniform draw within the problem's bounds."""
-    return uniform(rng, problem.lower, problem.upper)
+def hand_pressures(x: np.ndarray, u: np.ndarray, problem: Problem) -> tuple[np.ndarray, np.ndarray]:
+    """(HP, RHP) per agent from its row of the iteration's block u: HP a
+    uniformly chosen component of its position (row of x), RHP a uniform draw
+    within the problem's bounds."""
+    hp = x[np.arange(len(x)), indices(u[:, U_HP], x.shape[1])]
+    return hp, scale(u[:, U_RHP], problem.lower, problem.upper)
 
 
-def select_hand_pressure(x: np.ndarray, rng) -> float:
-    """HP: a uniformly chosen component of the current position."""
-    return float(x[rng.integers(x.size)])
+def golden_ratio(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(x[M] + x[N]) / x[M] per row of x (P, d), for distinct indices M != N.
 
-
-def golden_ratio(pos: np.ndarray, rng) -> float:
-    """(pos[M] + pos[N]) / pos[M] for random distinct indices M != N.
-
-    A zero denominator is resampled once; if still zero, returns phi so the
-    agent falls into the creativity branch rather than dividing by zero.
+    Each row of u (P, 4) holds two (M, N) draws. A zero denominator in the
+    first is retried with the second; if that is zero too, the ratio is phi,
+    so the agent falls into the creativity branch rather than dividing by zero.
     """
-    if pos.size < 2:
+    p, d = x.shape
+    if d < 2:
         raise ValueError("golden ratio needs dim >= 2")
-    for _ in range(2):
-        m = int(rng.integers(pos.size))
-        n = int(rng.integers(pos.size - 1))
-        if n >= m:
-            n += 1
-        if pos[m] != 0.0:
-            return float((pos[m] + pos[n]) / pos[m])
-    return PHI
+    r = np.arange(p)
+    m = indices(u[:, 0::2], d)      # (P, 2): M of each draw
+    n = indices(u[:, 1::2], d - 1)  # N != M, drawn from the other d - 1
+    n += n >= m
+    k = (x[r, m[:, 0]] == 0.0).astype(np.intp)  # the second draw where the first has x[M] == 0
+    den = x[r, m[r, k]]
+    return np.divide(den + x[r, n[r, k]], den, out=np.full(p, PHI), where=den != 0.0)
 
 
 def skill_update(x: np.ndarray, lbest: np.ndarray, gbest: np.ndarray,
-                 gr: float, sr: float, lr: float, problem: Problem) -> np.ndarray:
+                 gr, sr, lr, problem: Problem) -> np.ndarray:
     """Skill-branch move: position scaled by gr plus pulls toward both bests.
 
     gr scales the current position (a dimensionless ratio applied to the
     drawing) rather than being added to it; the additive reading cannot
-    contract and demonstrably stalls far above the published optima.
+    contract and demonstrably stalls far above the published optima. Rows of
+    x and lbest move together, with gr, sr and lr as (n, 1) columns.
     """
     new = gr * x + sr * (lbest - x) + lr * (gbest - x)
     return clamp(new, problem)
 
 
-def creativity_update(pm_entry: np.ndarray, gbest: np.ndarray, sr: float,
+def creativity_update(pm_entry: np.ndarray, gbest: np.ndarray, sr,
                       problem: Problem) -> np.ndarray:
     """Creativity-branch move: a pattern-memory elite shifted by sr * gbest."""
     return clamp(pm_entry + sr * gbest, problem)
@@ -90,35 +107,56 @@ def init_state(problem: Problem, config: RunConfig, pm_size: int, rng) -> CddoSt
     x, f = core.init_population(problem, config.pop_size, rng)
     g = int(np.argmin(f))
     pm = Archive.best_of(x, f, pm_size)
-    return CddoState(list(x), list(x), f.tolist(), x[g], float(f[g]), pm, evals=config.pop_size)
+    return CddoState(x, x.copy(), f.copy(), x[g].copy(), float(f[g]), pm, evals=config.pop_size)
 
 
 def cddo_step(state: CddoState, problem: Problem, rng) -> CddoState:
-    """One iteration over all agents; mutates and returns state."""
-    hi_lo, hi_hi = SR_LR_HIGH
-    lo_lo, lo_hi = SR_LR_LOW
-    for i, x in enumerate(state.x):
-        rhp = random_hand_pressure(problem, rng)
-        hp = select_hand_pressure(x, rng)
-        gr = golden_ratio(x, rng)
-        if hp < rhp:
-            sr = uniform(rng, hi_lo, hi_hi)
-            lr = uniform(rng, hi_lo, hi_hi)
-            new_pos = skill_update(x, state.lbest_x[i], state.gbest_x, gr, sr, lr, problem)
-        elif abs(gr - PHI) <= GR_TOLERANCE:
-            sr = uniform(rng, lo_lo, lo_hi)
-            entry = state.pm.x[rng.integers(len(state.pm.f))]
-            new_pos = creativity_update(entry, state.gbest_x, sr, problem)
-        else:
-            continue  # neither condition holds: the drawing rests this round
-        fit = evaluate(problem, new_pos, rng)
-        state.evals += 1
-        state.x[i] = new_pos
-        if fit < state.lbest_f[i]:
-            state.lbest_x[i], state.lbest_f[i] = new_pos, fit
-        if fit < state.gbest_f:
-            state.gbest_x, state.gbest_f = new_pos, fit
-    state.pm.replace_worst(state.gbest_x, state.gbest_f)
+    """One iteration over all agents; mutates and returns state.
+
+    Branches and moves are computed for all agents at once from one block of
+    uniforms. The movers are then evaluated in agent order with gbest updated
+    after each, as in the agent-by-agent loop: when an agent improves gbest,
+    the candidates of the agents after it are rebuilt with the new gbest.
+    """
+    x, lbest_x = state.x, state.lbest_x
+    u = rng.random((len(x), N_UNIFORMS))
+    hp, rhp = hand_pressures(x, u, problem)
+    gr = golden_ratio(x, u[:, U_GR])
+    skill = hp < rhp
+    creative = ~skill & (np.abs(gr - PHI) <= GR_TOLERANCE)
+    s, c = np.flatnonzero(skill), np.flatnonzero(creative)
+    sr_s = scale(u[s, U_SR, None], *SR_LR_HIGH)
+    lr_s = scale(u[s, U_LR_PM, None], *SR_LR_HIGH)
+    sr_c = scale(u[c, U_SR, None], *SR_LR_LOW)
+    entries = state.pm.x[indices(u[c, U_LR_PM], len(state.pm.f))]
+    new = np.empty_like(x)  # the candidates; rows that rest stay unset
+
+    def build(first: int):
+        """The candidates of the movers from agent ``first`` on, for the current gbest."""
+        a, b = np.searchsorted(s, first), np.searchsorted(c, first)
+        new[s[a:]] = skill_update(x[s[a:]], lbest_x[s[a:]], state.gbest_x,
+                                  gr[s[a:], None], sr_s[a:], lr_s[a:], problem)
+        new[c[b:]] = creativity_update(entries[b:], state.gbest_x, sr_c[b:], problem)
+
+    build(0)
+    movers = np.flatnonzero(skill | creative)
+    fit = np.empty(len(movers))
+    for j, i in enumerate(movers.tolist()):
+        fit[j] = f = evaluate(problem, new[i], rng)
+        if f < state.gbest_f:
+            state.gbest_x, state.gbest_f = new[i].copy(), f
+            build(i + 1)
+
+    moved = new[movers]
+    x[movers] = moved
+    better = fit < state.lbest_f[movers]
+    lbest_x[movers[better]] = moved[better]
+    state.lbest_f[movers[better]] = fit[better]
+    state.evals += len(movers)
+    state.skill += len(s)
+    state.creativity += len(c)
+    state.rest += len(x) - len(movers)
+    state.pm_replacements += state.pm.replace_worst(state.gbest_x, state.gbest_f)
     return state
 
 
@@ -146,6 +184,11 @@ def _run_engine(problem: Problem, config: RunConfig, pm_fraction: float,
         trace=trace,
         seed=seed,
         evals=state.evals,
+        skill=state.skill,
+        creativity=state.creativity,
+        rest=state.rest,
+        pm_replacements=state.pm_replacements,
+        refresh_accepts=state.refresh_accepts,
     )
 
 

@@ -80,15 +80,29 @@ class RunResult:
     trace: np.ndarray  # global-best fitness at the end of each iteration
     seed: int
     evals: int
+    # Counts over the run (not written to artifacts). Agent steps by branch
+    # (CDDO and the hybrid): skill + creativity + rest == pop_size * max_iters.
+    skill: int = 0
+    creativity: int = 0
+    rest: int = 0
+    pm_replacements: int = 0  # iterations whose gbest entered the pattern memory
+    refresh_accepts: int = 0  # hybrid HS refreshes that entered the pattern memory
+    hm_accepts: int = 0       # HS improvisations that entered the harmony memory
 
 
 def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
-    """Uniform draw in [lo, hi); consumes exactly one raw draw."""
-    return lo + (hi - lo) * rng.random()
+def scale(u, lo: float, hi: float):
+    """Uniforms u in [0, 1) mapped onto [lo, hi)."""
+    return lo + (hi - lo) * u
+
+
+def indices(u: np.ndarray, n: int) -> np.ndarray:
+    """Uniforms u in [0, 1) mapped onto the integers 0 .. n-1, each with
+    probability 1/n (floor(u * n), kept below n against rounding up)."""
+    return np.minimum((u * n).astype(np.intp), n - 1)
 
 
 def clamp(position: np.ndarray, problem: Problem) -> np.ndarray:
@@ -112,11 +126,9 @@ def evaluate(problem: Problem, position: np.ndarray, rng: Optional[np.random.Gen
 
 
 def init_population(problem: Problem, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Positions (n, dim) uniform in the box and their fitness (n,). Each row is
-    evaluated before the next is drawn: stochastic objectives share the stream."""
-    x = np.empty((n, problem.dim))
-    f = np.empty(n)
-    for i in range(n):
-        x[i] = problem.lower + (problem.upper - problem.lower) * rng.random(problem.dim)
-        f[i] = evaluate(problem, x[i], rng)
+    """Positions (n, dim) uniform in the box, drawn in one call, and their
+    fitness (n,), evaluated row by row on the same stream (F7 draws its noise
+    from it after the positions)."""
+    x = scale(rng.random((n, problem.dim)), problem.lower, problem.upper)
+    f = np.array([evaluate(problem, row, rng) for row in x])
     return x, f

@@ -155,6 +155,8 @@ def load_summary(path) -> dict:
     summary = {}
     for row in _rows(path, "algo", "func", "avg"):
         algo, func = row["algo"], row["func"]
+        if (algo, func) in summary:
+            raise ValueError(f"{path}: {algo}/{func}: repeated row")
         summary[algo, func] = _number(path, f"{algo}/{func} avg", row["avg"])
     return summary
 
@@ -165,6 +167,8 @@ def load_averages(path) -> dict:
     averages = {}
     for row in _rows(path, "func"):
         func = row.pop("func")
+        if func in averages:
+            raise ValueError(f"{path}: {func}: repeated row")
         averages[func] = {algo: _number(path, f"{func}/{algo}", v) for algo, v in row.items()}
     return averages
 

@@ -23,8 +23,9 @@ def _improvise_refresh(pm: Archive, problem: Problem, rng) -> tuple[bool, np.nda
 def _refresh(state: CddoState, problem: Problem, rng) -> None:
     # The improvised vector is an evaluated solution, so it also feeds the
     # global best (the loop updates gbest after the refresh each iteration).
-    _, pos, fit = _improvise_refresh(state.pm, problem, rng)
+    replaced, pos, fit = _improvise_refresh(state.pm, problem, rng)
     state.evals += 1
+    state.refresh_accepts += replaced
     if fit < state.gbest_f:
         state.gbest_x, state.gbest_f = pos, fit
 

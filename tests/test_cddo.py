@@ -2,27 +2,13 @@ import numpy as np
 import pytest
 
 from cddohs import cddo as cddo_mod
+from cddohs import hybrid
 from cddohs.benchmarks import make_function
 from cddohs.cddo import (
-    PHI, cddo_run, cddo_step,
-    creativity_update, golden_ratio, init_state, random_hand_pressure,
-    select_hand_pressure, skill_update,
+    GR_TOLERANCE, N_UNIFORMS, PHI, SR_LR_HIGH, SR_LR_LOW, U_RHP, CddoState, cddo_run, cddo_step,
+    creativity_update, golden_ratio, hand_pressures, init_state, skill_update,
 )
-from cddohs.core import Problem, RunConfig, make_rng
-
-
-class ScriptedRng:
-    """Returns queued integers; random() falls back to a real generator."""
-
-    def __init__(self, integers, seed=0):
-        self._queue = list(integers)
-        self._rng = make_rng(seed)
-
-    def integers(self, *a, **kw):
-        return self._queue.pop(0)
-
-    def random(self, *a, **kw):
-        return self._rng.random(*a, **kw)
+from cddohs.core import Archive, Problem, RunConfig, evaluate, make_rng
 
 
 def _problem(dim=2, lower=-10.0, upper=10.0):
@@ -34,52 +20,75 @@ def _cand(*vals):
     return np.array(vals, dtype=float)
 
 
+def _gr(x, *u):
+    """golden_ratio of the single row x with the index uniforms u (M1, N1, M2, N2)."""
+    return golden_ratio(np.array([x], dtype=float), np.array([u], dtype=float))[0]
+
+
 class TestHandPressure:
     def test_rhp_within_bounds(self, rng):
         p = _problem(lower=-100, upper=100)
-        for _ in range(50):
-            assert -100 <= random_hand_pressure(p, rng) <= 100
+        x = np.zeros((50, 2))
+        _, rhp = hand_pressures(x, rng.random((50, N_UNIFORMS)), p)
+        assert np.all((rhp >= -100) & (rhp < 100))
+        # the ends of [0, 1) map onto the ends of the box
+        u = np.zeros((2, N_UNIFORMS))
+        u[1, U_RHP] = np.nextafter(1.0, 0.0)
+        _, rhp = hand_pressures(x[:2], u, p)
+        assert rhp[0] == -100.0 and rhp[1] == pytest.approx(100.0)
 
     def test_rhp_reproducible(self):
         p = _problem()
-        assert random_hand_pressure(p, make_rng(4)) == random_hand_pressure(p, make_rng(4))
+        x = np.zeros((2, 2))
+        a = hand_pressures(x, make_rng(4).random((2, N_UNIFORMS)), p)[1]
+        b = hand_pressures(x, make_rng(4).random((2, N_UNIFORMS)), p)[1]
+        assert np.array_equal(a, b)
+        assert a[0] != a[1]  # each agent has its own draw
 
     def test_hp_single_dim_forced(self):
-        c = _cand(7.0)
-        assert select_hand_pressure(c, make_rng(0)) == 7.0
+        # one component: whatever the draw, HP is that component
+        hp, _ = hand_pressures(np.full((3, 1), 7.0), make_rng(0).random((3, N_UNIFORMS)), _problem())
+        assert hp.tolist() == [7.0, 7.0, 7.0]
 
     def test_hp_uniform_over_components(self):
-        c = _cand(1.0, 2.0, 3.0)
-        rng = make_rng(21)
-        draws = [select_hand_pressure(c, rng) for _ in range(3000)]
+        x = np.tile(_cand(1.0, 2.0, 3.0), (3000, 1))
+        hp, _ = hand_pressures(x, make_rng(21).random((3000, N_UNIFORMS)), _problem(dim=3))
         for v in (1.0, 2.0, 3.0):
-            assert abs(draws.count(v) / 3000 - 1 / 3) < 0.05
+            assert abs(np.mean(hp == v) - 1 / 3) < 0.05
+        # the top of [0, 1) stays on the last component
+        u = np.full((1, N_UNIFORMS), np.nextafter(1.0, 0.0))
+        assert hand_pressures(x[:1], u, _problem(dim=3))[0][0] == 3.0
 
 
 class TestGoldenRatio:
     def test_golden_proportion(self):
-        c = _cand(1.0, 0.618)
-        # M=0, N raw draw 0 -> bumped to 1
-        assert golden_ratio(c, ScriptedRng([0, 0])) == pytest.approx(1.618)
+        # M = 0; N's raw index 0 is bumped past M to 1
+        assert _gr([1.0, 0.618], 0.0, 0.0, 0.0, 0.0) == pytest.approx(1.618)
+        # M = 1 (u = 0.5 of two), N = 0 (below M, kept)
+        assert _gr([0.618, 1.0], 0.5, 0.0, 0.0, 0.0) == pytest.approx(1.618)
 
     def test_equal_values_distinct_indices(self):
-        c = _cand(2.0, 2.0)
-        assert golden_ratio(c, ScriptedRng([0, 0])) == 2.0
+        assert _gr([2.0, 2.0], 0.0, 0.0, 0.0, 0.0) == 2.0
+        # N is never M: with M = 0, (3 + 3) / 3 = 2 never occurs
+        ratios = {_gr([3.0, 0.0, 6.0], 0.0, un, 0.0, 0.0) for un in np.linspace(0, 0.999, 50)}
+        assert ratios == {1.0, 3.0}
 
     def test_opposite_values(self):
-        c = _cand(-1.0, 1.0)
-        assert golden_ratio(c, ScriptedRng([0, 0])) == 0.0
+        assert _gr([-1.0, 1.0], 0.0, 0.0, 0.0, 0.0) == 0.0
 
     def test_zero_denominator_resampled_then_phi(self):
-        c = _cand(0.0, 5.0)
-        # both attempts pick M=0 (zero denominator) -> sentinel phi
-        assert golden_ratio(c, ScriptedRng([0, 0, 0, 0])) == PHI
-        # first attempt zero, second picks M=1 -> (5 + 0) / 5 = 1
-        assert golden_ratio(c, ScriptedRng([0, 0, 1, 0])) == 1.0
+        # both draws pick M=0 (zero denominator) -> sentinel phi
+        assert _gr([0.0, 5.0], 0.0, 0.0, 0.0, 0.0) == PHI
+        # first draw zero, second picks M=1 -> (5 + 0) / 5 = 1
+        assert _gr([0.0, 5.0], 0.0, 0.0, 0.5, 0.0) == 1.0
+        # the retry is per row: other rows keep their first draw
+        x = np.array([[0.0, 5.0], [2.0, 2.0], [0.0, 0.0]])
+        u = np.tile([0.0, 0.0, 0.5, 0.0], (3, 1))
+        assert golden_ratio(x, u).tolist() == [1.0, 2.0, PHI]
 
     def test_requires_two_dims(self):
         with pytest.raises(ValueError):
-            golden_ratio(_cand(1.0), make_rng(0))
+            golden_ratio(np.ones((3, 1)), np.zeros((3, 4)))
 
 
 class TestSkillUpdate:
@@ -126,6 +135,77 @@ class TestCreativityUpdate:
         assert out == pytest.approx([10.0])
 
 
+class BlockRng:
+    """Hands out the given blocks of uniforms, one per random() call."""
+
+    def __init__(self, *blocks):
+        self._blocks = [np.array(b, dtype=float) for b in blocks]
+
+    def random(self, size):
+        block = self._blocks.pop(0)
+        assert block.shape == size
+        return block
+
+
+def reference_step(state, problem, rng):
+    """The agent-by-agent loop, in scalar arithmetic, reading each agent's
+    draws from its row of the iteration's (P, 8) block of uniforms."""
+    lo, hi, d, k = problem.lower, problem.upper, problem.dim, len(state.pm.f)
+
+    def uniform(u, interval):
+        return interval[0] + (interval[1] - interval[0]) * u
+
+    def index(u, n):
+        return min(int(u * n), n - 1)
+
+    u = rng.random((len(state.x), N_UNIFORMS))
+    for i, row in enumerate(u):
+        x = state.x[i]
+        rhp = uniform(row[0], (lo, hi))
+        hp = x[index(row[1], d)]
+        gr = PHI
+        for a in (2, 4):
+            m, n = index(row[a], d), index(row[a + 1], d - 1)
+            if n >= m:
+                n += 1
+            if x[m] != 0.0:
+                gr = (x[m] + x[n]) / x[m]
+                break
+        if hp < rhp:
+            sr, lr = uniform(row[6], SR_LR_HIGH), uniform(row[7], SR_LR_HIGH)
+            new = gr * x + sr * (state.lbest_x[i] - x) + lr * (state.gbest_x - x)
+            state.skill += 1
+        elif abs(gr - PHI) <= GR_TOLERANCE:
+            sr = uniform(row[6], SR_LR_LOW)
+            new = state.pm.x[index(row[7], k)] + sr * state.gbest_x
+            state.creativity += 1
+        else:
+            state.rest += 1
+            continue
+        new = np.clip(new, lo, hi)
+        fit = evaluate(problem, new, rng)
+        state.evals += 1
+        state.x[i] = new
+        if fit < state.lbest_f[i]:
+            state.lbest_x[i], state.lbest_f[i] = new, fit
+        if fit < state.gbest_f:
+            state.gbest_x, state.gbest_f = new, fit
+    state.pm_replacements += state.pm.replace_worst(state.gbest_x, state.gbest_f)
+
+
+def _copy(state):
+    return CddoState(state.x.copy(), state.lbest_x.copy(), state.lbest_f.copy(),
+                     state.gbest_x.copy(), state.gbest_f,
+                     Archive(state.pm.x.copy(), state.pm.f.copy()), state.evals)
+
+
+def _assert_same(a, b):
+    for field in ("x", "lbest_x", "lbest_f", "gbest_x", "gbest_f", "evals", "skill",
+                  "creativity", "rest", "pm_replacements", "refresh_accepts"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+    assert np.array_equal(a.pm.x, b.pm.x) and np.array_equal(a.pm.f, b.pm.f)
+
+
 class TestCddoStep:
     def test_gbest_monotone_one_step(self):
         p = make_function("F1")
@@ -136,46 +216,95 @@ class TestCddoStep:
         cddo_step(state, p, rng)
         assert state.gbest_f <= before
 
-    def test_branch_exclusivity_via_eval_count(self, monkeypatch):
+    def test_branch_exclusivity_via_eval_count(self):
         p = make_function("F1")
         cfg = RunConfig(pop_size=40, base_seed=5)
         rng = make_rng(5)
         state = init_state(p, cfg, 8, rng)
-        counts = {"skill": 0, "creat": 0}
-        real_skill, real_creat = skill_update, creativity_update
-
-        def spy_skill(*a, **kw):
-            counts["skill"] += 1
-            return real_skill(*a, **kw)
-
-        def spy_creat(*a, **kw):
-            counts["creat"] += 1
-            return real_creat(*a, **kw)
-
-        monkeypatch.setattr(cddo_mod, "skill_update", spy_skill)
-        monkeypatch.setattr(cddo_mod, "creativity_update", spy_creat)
-        before = state.evals
-        cddo_step(state, p, rng)
-        updates = counts["skill"] + counts["creat"]
-        assert updates <= cfg.pop_size
-        assert state.evals - before == updates  # one evaluation per updated agent
+        for _ in range(5):
+            before = (state.evals, state.skill, state.creativity, state.rest)
+            cddo_step(state, p, rng)
+            evals, skill, creativity, rest = (
+                now - was for now, was in zip(
+                    (state.evals, state.skill, state.creativity, state.rest), before))
+            assert skill + creativity + rest == cfg.pop_size  # one branch per agent
+            assert evals == skill + creativity  # one evaluation per updated agent
+            assert skill > 0
 
     def test_sr_lr_interval_discipline(self, monkeypatch):
         p = make_function("F9")
         cfg = RunConfig(pop_size=40, max_iters=30, base_seed=3)
-        calls = []
-        real_uniform = cddo_mod.uniform
+        skill_rates, creativity_rates = [], []
+        real_skill, real_creat = skill_update, creativity_update
 
-        def spy(rng, lo, hi):
-            calls.append((lo, hi))
-            return real_uniform(rng, lo, hi)
+        def spy_skill(x, lbest, gbest, gr, sr, lr, problem):
+            skill_rates.append(np.concatenate([sr, lr]))
+            return real_skill(x, lbest, gbest, gr, sr, lr, problem)
 
-        monkeypatch.setattr(cddo_mod, "uniform", spy)
-        cddo_run(p, cfg)
-        intervals = set(calls)
-        assert intervals <= {(p.lower, p.upper), (0.6, 1.0), (0.0, 0.5)}
-        assert (0.6, 1.0) in intervals  # skill branch fired
-        assert (p.lower, p.upper) in intervals  # rhp draws
+        def spy_creat(entry, gbest, sr, problem):
+            creativity_rates.append(sr)
+            return real_creat(entry, gbest, sr, problem)
+
+        monkeypatch.setattr(cddo_mod, "skill_update", spy_skill)
+        monkeypatch.setattr(cddo_mod, "creativity_update", spy_creat)
+        r = cddo_run(p, cfg)
+        skill_rates = np.concatenate(skill_rates)
+        creativity_rates = np.concatenate(creativity_rates)
+        assert skill_rates.size >= 2 * r.skill > 0  # skill branch fired
+        assert np.all((skill_rates >= 0.6) & (skill_rates < 1.0))
+        assert np.all((creativity_rates >= 0.0) & (creativity_rates < 0.5))
+
+    @pytest.mark.parametrize("func", ["F1", "F5", "F7", "F16"])
+    def test_matches_agent_by_agent_reference(self, func):
+        p = make_function(func)
+        cfg = RunConfig(pop_size=40, base_seed=31)
+        state = init_state(p, cfg, 8, make_rng(31))
+        ref = _copy(state)
+        rng, ref_rng = make_rng(32), make_rng(32)
+        for _ in range(30):
+            cddo_step(state, p, rng)
+            reference_step(ref, p, ref_rng)
+        _assert_same(state, ref)
+        assert state.creativity > 0 and state.skill > 0
+        assert rng.random() == ref_rng.random()  # the same draws were consumed
+
+    def test_hybrid_matches_agent_by_agent_reference(self):
+        p = make_function("F5")
+        cfg = RunConfig(pop_size=40, base_seed=33)
+        state = init_state(p, cfg, 32, make_rng(33))
+        ref = _copy(state)
+        rng, ref_rng = make_rng(34), make_rng(34)
+        for _ in range(30):
+            hybrid._refresh(state, p, rng)
+            cddo_step(state, p, rng)
+            hybrid._refresh(ref, p, ref_rng)
+            reference_step(ref, p, ref_rng)
+        _assert_same(state, ref)
+        assert state.refresh_accepts > 0
+
+    def test_later_agents_see_the_gbest_an_earlier_agent_found(self):
+        # Agent 0 moves to (0.5, -0.25) and improves gbest; agent 1's skill
+        # move must then pull toward that point, not toward the old gbest.
+        p = _problem()
+        x = np.array([[1.0, -0.5], [4.0, 4.0]])
+        f = np.sum(x * x, axis=1)
+        state = CddoState(x.copy(), x.copy(), f.copy(), x[0].copy(), float(f[0]),
+                          Archive.best_of(x, f, 1))
+        u = np.zeros((2, N_UNIFORMS))
+        u[:, U_RHP] = 0.99  # rhp 9.8 > hp: both agents take the skill branch
+        u[:, 6:] = 0.5      # sr = lr = 0.8
+        old_gbest = state.gbest_x
+        cddo_step(state, p, BlockRng(u))
+        new_gbest = np.array([0.5, -0.25])  # gr = (1 - 0.5) / 1 scales agent 0
+        assert np.array_equal(state.gbest_x, new_gbest)
+        expected = skill_update(x[1], x[1], new_gbest, 2.0, 0.8, 0.8, p)
+        stale = skill_update(x[1], x[1], old_gbest, 2.0, 0.8, 0.8, p)
+        assert np.array_equal(state.x[1], expected)
+        assert not np.array_equal(state.x[1], stale)
+        ref = CddoState(x.copy(), x.copy(), f.copy(), x[0].copy(), float(f[0]),
+                        Archive.best_of(x, f, 1))
+        reference_step(ref, p, BlockRng(u))
+        _assert_same(state, ref)
 
 
 class TestCddoRun:
@@ -213,7 +342,7 @@ class TestCddoRun:
         state = init_state(p, cfg, 2, rng)
         for _ in range(50):
             cddo_step(state, p, rng)
-            for x in state.x + state.lbest_x + list(state.pm.x) + [state.gbest_x]:
+            for x in (state.x, state.lbest_x, state.pm.x, state.gbest_x):
                 assert np.all(x >= p.lower) and np.all(x <= p.upper)
 
     def test_pm_elitism_and_coherence(self):

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from cddohs.benchmarks import make_function
+from cddohs.benchmarks import FUNCTION_IDS, make_function
 from cddohs.cddo import cddo_run
 from cddohs.core import (
-    Archive, Problem, RunConfig, clamp, evaluate, init_population, make_rng, uniform,
+    Archive, Problem, RunConfig, clamp, evaluate, indices, init_population, make_rng, scale,
 )
 from cddohs.hs import hs_run
 from cddohs.hybrid import cddo_hs_run
@@ -64,20 +64,25 @@ class TestClamp:
 
 class TestUniform:
     def test_degenerate_interval(self, rng):
-        assert uniform(rng, 3.0, 3.0) == 3.0
+        assert np.all(scale(rng.random(5), 3.0, 3.0) == 3.0)
 
     def test_sample_mean(self):
-        rng = make_rng(2)
-        draws = [uniform(rng, 0.0, 1.0) for _ in range(10_000)]
-        assert abs(np.mean(draws) - 0.5) < 0.02
+        draws = scale(make_rng(2).random(10_000), -2.0, 6.0)
+        assert abs(np.mean(draws) - 2.0) < 0.1
+        assert np.all((draws >= -2.0) & (draws < 6.0))
 
     def test_reproducible_and_distinct(self):
-        a = make_rng(5)
-        b = make_rng(5)
-        va1, va2 = uniform(a, 0, 1), uniform(a, 0, 1)
-        vb1, vb2 = uniform(b, 0, 1), uniform(b, 0, 1)
+        va1, va2 = scale(make_rng(5).random(2), 0, 1)
+        vb1, vb2 = scale(make_rng(5).random(2), 0, 1)
         assert (va1, va2) == (vb1, vb2)
         assert va1 != va2
+
+    def test_indices_cover_the_range_evenly(self):
+        got = indices(make_rng(6).random(30_000), 3)
+        assert np.bincount(got).tolist() == pytest.approx([10_000] * 3, rel=0.05)
+        # the largest uniform below 1 stays on the last index
+        top = np.nextafter(1.0, 0.0)
+        assert indices(np.array([0.0, top]), 7).tolist() == [0, 6]
 
 
 class TestInitPopulation:
@@ -92,6 +97,11 @@ class TestInitPopulation:
         x_b, f_b = init_population(p, 5, make_rng(9))
         assert np.array_equal(x_a, x_b)
         assert np.array_equal(f_a, f_b)
+
+    def test_positions_drawn_in_one_block(self):
+        # the positions are the run's first n * dim uniforms; F7's noise follows
+        x, _ = init_population(make_function("F7"), 4, make_rng(8))
+        assert np.array_equal(x, scale(make_rng(8).random((4, 10)), -1.28, 1.28))
 
     def test_sphere_fitness_matches_hand_formula(self, rng):
         x, f = init_population(make_function("F1"), 40, rng)
@@ -179,15 +189,34 @@ class TestNonFiniteObjectives:
             run(_nan_on_call(k), RunConfig(pop_size=5, max_iters=20))
 
 
+@pytest.mark.parametrize("func", FUNCTION_IDS)
+@pytest.mark.parametrize("run", [cddo_run, hs_run, cddo_hs_run], ids=lambda f: f.__name__)
+def test_run_counters_add_up(run, func):
+    cfg = RunConfig(pop_size=10, max_iters=20, base_seed=7)
+    r = run(make_function(func), cfg)
+    agent_steps = r.skill + r.creativity + r.rest
+    if run is hs_run:
+        assert agent_steps == r.pm_replacements == r.refresh_accepts == 0
+        assert r.evals == cfg.pop_size + cfg.max_iters
+        assert 0 <= r.hm_accepts <= cfg.max_iters
+        return
+    refreshes = cfg.max_iters if run is cddo_hs_run else 0
+    assert agent_steps == cfg.pop_size * cfg.max_iters
+    assert r.evals == cfg.pop_size + r.skill + r.creativity + refreshes
+    assert 0 <= r.pm_replacements <= cfg.max_iters
+    assert 0 <= r.refresh_accepts <= refreshes
+    assert r.hm_accepts == 0
+
+
 # best_fitness and evals of a short fixed-seed run: any change to the order or
 # number of random draws, or to the floats of an update rule, moves them.
 STREAM_PIN = {
-    (cddo_run, "F7"): (0.11897428954138006, 137),
-    (cddo_run, "F16"): (-1.0144106049947665, 132),
-    (hs_run, "F7"): (3.825607859910291, 35),
-    (hs_run, "F16"): (-0.613791210793643, 35),
-    (cddo_hs_run, "F7"): (0.05689182702847647, 153),
-    (cddo_hs_run, "F16"): (-0.8941115071530287, 179),
+    (cddo_run, "F7"): (0.0399313196333882, 131),
+    (cddo_run, "F16"): (-0.977700072916351, 149),
+    (hs_run, "F7"): (2.8366209922587426, 35),
+    (hs_run, "F16"): (-0.6451902127268643, 35),
+    (cddo_hs_run, "F7"): (0.01359054071672822, 155),
+    (cddo_hs_run, "F16"): (-1.0152796138004152, 178),
 }
 
 

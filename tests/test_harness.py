@@ -263,6 +263,9 @@ class TestCli:
         pytest.param("rank", "avgs.csv", "func,a,b\nF1,,1\n", id="empty-cell"),
         pytest.param("compare", "summary.csv", "algo,func,avg\nhs,F1,abc\n", id="non-numeric-cell"),
         pytest.param("rank", "avgs.csv", "func,a,b\nF1,nan,1\n", id="nan-cell"),
+        pytest.param("rank", "avgs.csv", "func,a,b\nF1,1,2\nF1,2,1\n", id="repeated-func"),
+        pytest.param("compare", "summary.csv", "algo,func,avg\nhs,F1,1\nhs,F1,2\n",
+                     id="repeated-cell"),
     ])
     def test_malformed_table_names_the_file(self, tmp_path, capsys, command, name, text):
         path = tmp_path / name
