@@ -1,5 +1,5 @@
 #!/bin/sh
-# Refactor check: print six digests that a change which should not alter
+# Refactor check: print seven digests that a change which should not alter
 # results must leave unchanged (see "Refactor check" in README.md).
 #
 #   sh scripts/refactor_check.sh
@@ -8,7 +8,9 @@
 # prints, one per line: the digest of each grid's artifacts, of the printed
 # path lists (with the output directory cut off), of `compare` on
 # summary.csv and then summary.json, of `rank --reference table6` and of
-# `list`.
+# `list`. The artifacts print fitness with 7 significant digits, so the
+# seventh line digests full-precision results: `repr(best_fitness)` and
+# `evals` of three short fixed-seed runs of each algorithm on F1-F19.
 set -eu
 cd "$(dirname "$0")/.."
 tmp=$(mktemp -d)
@@ -27,3 +29,14 @@ echo "compare      $({ cddohs compare --summary "$tmp/X/summary.csv"
                        cddohs compare --summary "$tmp/X/summary.json"; } | digest)"
 echo "rank         $(cddohs rank --reference table6 | digest)"
 echo "list         $(cddohs list | digest)"
+echo "runs         $(PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 -c '
+from cddohs.benchmarks import FUNCTION_IDS, make_function
+from cddohs.core import RunConfig
+from cddohs.harness import ALGORITHMS
+config = RunConfig(pop_size=20, max_iters=50, base_seed=2023)
+for algo, run in ALGORITHMS.items():
+    for func in FUNCTION_IDS:
+        for r in range(3):
+            result = run(make_function(func), config, r)
+            print(algo, func, r, repr(result.best_fitness), result.evals)
+' | digest)"

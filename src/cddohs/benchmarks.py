@@ -45,130 +45,137 @@ _HARTMANN3_P = np.array(
 )
 
 # -- objective functions ------------------------------------------------------
+#
+# Each objective takes one point (d,) and returns a float, or rows (n, d) and
+# returns (n,), with row i equal to the one-point value bit for bit. Powers of
+# a single component are written as products: a one-point call sees numpy
+# scalars, whose ``**`` is libm's pow, while rows see arrays, whose ``**``
+# can round differently in the last bit; a product rounds the same both ways.
 
 
 def f1_sphere(x):
-    return float(np.sum(x * x))
+    return np.sum(x * x, axis=-1)
 
 
 def f2_sum_and_product(x):
     ax = np.abs(x)
-    return float(np.sum(ax) + np.prod(ax))
+    return np.sum(ax, axis=-1) + np.prod(ax, axis=-1)
 
 
 def f3_rotated_hyper_ellipsoid(x):
-    return float(np.sum(np.cumsum(x) ** 2))
+    return np.sum(np.cumsum(x, axis=-1) ** 2, axis=-1)
 
 
 def f4_max_abs(x):
-    return float(np.max(np.abs(x)))
+    return np.max(np.abs(x), axis=-1)
 
 
 def f5_rosenbrock(x):
-    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (x[:-1] - 1.0) ** 2))
+    head, tail = x[..., :-1], x[..., 1:]
+    return np.sum(100.0 * (tail - head ** 2) ** 2 + (head - 1.0) ** 2, axis=-1)
 
 
 def f6_step(x):
-    return float(np.sum(np.floor(x + 0.5) ** 2))
+    return np.sum(np.floor(x + 0.5) ** 2, axis=-1)
 
 
 def f7_deterministic_part(x):
-    i = np.arange(1, x.size + 1)
-    return float(np.sum(i * x ** 4))
+    i = np.arange(1, x.shape[-1] + 1)
+    return np.sum(i * x ** 4, axis=-1)
 
 
 def f7_quartic_noise(x, rng):
-    return f7_deterministic_part(x) + rng.random()
+    # one draw per point, in row order: n rows draw as n single points would
+    return f7_deterministic_part(x) + rng.random(x.shape[:-1] or None)
 
 
 def f8_schwefel(x):
-    return float(np.sum(-x * np.sin(np.sqrt(np.abs(x)))))
+    return np.sum(-x * np.sin(np.sqrt(np.abs(x))), axis=-1)
 
 
 def f9_rastrigin(x):
-    return float(np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x) + 10.0))
+    return np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x) + 10.0, axis=-1)
 
 
 def f10_ackley(x):
-    n = x.size
-    return float(
-        -20.0 * np.exp(-0.2 * np.sqrt(np.sum(x * x) / n))
-        - np.exp(np.sum(np.cos(2.0 * np.pi * x)) / n)
+    n = x.shape[-1]
+    return (
+        -20.0 * np.exp(-0.2 * np.sqrt(np.sum(x * x, axis=-1) / n))
+        - np.exp(np.sum(np.cos(2.0 * np.pi * x), axis=-1) / n)
         + 20.0
         + np.e
     )
 
 
 def f11_griewank(x):
-    i = np.arange(1, x.size + 1)
-    return float(np.sum(x * x) / 4000.0 - np.prod(np.cos(x / np.sqrt(i))) + 1.0)
+    i = np.arange(1, x.shape[-1] + 1)
+    return np.sum(x * x, axis=-1) / 4000.0 - np.prod(np.cos(x / np.sqrt(i)), axis=-1) + 1.0
 
 
 def _penalty(x, a, k, m):
-    return float(np.sum(np.where(np.abs(x) > a, k * (np.abs(x) - a) ** m, 0.0)))
+    return np.sum(np.where(np.abs(x) > a, k * (np.abs(x) - a) ** m, 0.0), axis=-1)
 
 
 def f12_penalized1(x):
-    n = x.size
+    n = x.shape[-1]
     y = 1.0 + (x + 1.0) / 4.0
+    s, z = np.sin(np.pi * y[..., 0]), y[..., -1] - 1.0
     core = (
-        10.0 * np.sin(np.pi * y[0]) ** 2
-        + np.sum((y[:-1] - 1.0) ** 2 * (1.0 + 10.0 * np.sin(np.pi * y[1:]) ** 2))
-        + (y[-1] - 1.0) ** 2
+        10.0 * (s * s)
+        + np.sum((y[..., :-1] - 1.0) ** 2 * (1.0 + 10.0 * np.sin(np.pi * y[..., 1:]) ** 2), axis=-1)
+        + z * z
     )
-    return float(np.pi / n * core + _penalty(x, 10.0, 100.0, 4.0))
+    return np.pi / n * core + _penalty(x, 10.0, 100.0, 4.0)
 
 
 def f13_penalized2(x):
+    s, z, w = np.sin(3.0 * np.pi * x[..., 0]), x[..., -1] - 1.0, np.sin(2.0 * np.pi * x[..., -1])
     core = (
-        np.sin(3.0 * np.pi * x[0]) ** 2
-        + np.sum((x[:-1] - 1.0) ** 2 * (1.0 + np.sin(3.0 * np.pi * x[1:]) ** 2))
-        + (x[-1] - 1.0) ** 2 * (1.0 + np.sin(2.0 * np.pi * x[-1]) ** 2)
+        s * s
+        + np.sum((x[..., :-1] - 1.0) ** 2 * (1.0 + np.sin(3.0 * np.pi * x[..., 1:]) ** 2), axis=-1)
+        + z * z * (1.0 + w * w)
     )
-    return float(0.1 * core + _penalty(x, 5.0, 100.0, 4.0))
+    return 0.1 * core + _penalty(x, 5.0, 100.0, 4.0)
 
 
 def f14_foxholes(x):
-    d = np.sum((x[:, None] - _FOXHOLES_A) ** 6, axis=0)
-    return float(1.0 / (1.0 / 500.0 + np.sum(1.0 / (np.arange(1, 26) + d))))
+    d = np.sum((x[..., :, None] - _FOXHOLES_A) ** 6, axis=-2)
+    return 1.0 / (1.0 / 500.0 + np.sum(1.0 / (np.arange(1, 26) + d), axis=-1))
 
 
 def f15_kowalik(x):
-    num = x[0] * (_KOWALIK_B ** 2 + _KOWALIK_B * x[1])
-    den = _KOWALIK_B ** 2 + _KOWALIK_B * x[2] + x[3]
-    return float(np.sum((_KOWALIK_A - num / den) ** 2))
+    x1, x2, x3, x4 = (x[..., k, None] for k in range(4))
+    num = x1 * (_KOWALIK_B ** 2 + _KOWALIK_B * x2)
+    den = _KOWALIK_B ** 2 + _KOWALIK_B * x3 + x4
+    return np.sum((_KOWALIK_A - num / den) ** 2, axis=-1)
 
 
 def f16_six_hump_camel(x):
-    x1, x2 = x
-    return float(
-        4.0 * x1 ** 2 - 2.1 * x1 ** 4 + x1 ** 6 / 3.0
-        + x1 * x2 - 4.0 * x2 ** 2 + 4.0 * x2 ** 4
-    )
+    x1, x2 = x.T
+    s1, s2 = x1 * x1, x2 * x2
+    return 4.0 * s1 - 2.1 * (s1 * s1) + s1 * s1 * s1 / 3.0 + x1 * x2 - 4.0 * s2 + 4.0 * (s2 * s2)
 
 
 def f17_branin(x):
-    x1, x2 = x
+    x1, x2 = x.T
     b = 5.1 / (4.0 * np.pi ** 2)
     c = 5.0 / np.pi
     t = 1.0 / (8.0 * np.pi)
-    return float((x2 - b * x1 ** 2 + c * x1 - 6.0) ** 2 + 10.0 * (1.0 - t) * np.cos(x1) + 10.0)
+    r = x2 - b * (x1 * x1) + c * x1 - 6.0
+    return r * r + 10.0 * (1.0 - t) * np.cos(x1) + 10.0
 
 
 def f18_goldstein_price(x):
-    x1, x2 = x
-    a = 1.0 + (x1 + x2 + 1.0) ** 2 * (
-        19.0 - 14.0 * x1 + 3.0 * x1 ** 2 - 14.0 * x2 + 6.0 * x1 * x2 + 3.0 * x2 ** 2
-    )
-    b = 30.0 + (2.0 * x1 - 3.0 * x2) ** 2 * (
-        18.0 - 32.0 * x1 + 12.0 * x1 ** 2 + 48.0 * x2 - 36.0 * x1 * x2 + 27.0 * x2 ** 2
-    )
-    return float(a * b)
+    x1, x2 = x.T
+    s1, s2, p, q = x1 * x1, x2 * x2, x1 + x2 + 1.0, 2.0 * x1 - 3.0 * x2
+    a = 1.0 + p * p * (19.0 - 14.0 * x1 + 3.0 * s1 - 14.0 * x2 + 6.0 * x1 * x2 + 3.0 * s2)
+    b = 30.0 + q * q * (18.0 - 32.0 * x1 + 12.0 * s1 + 48.0 * x2 - 36.0 * x1 * x2 + 27.0 * s2)
+    return a * b
 
 
 def f19_hartmann3(x):
-    inner = np.sum(_HARTMANN3_A * (x[None, :] - _HARTMANN3_P) ** 2, axis=1)
-    return float(-np.sum(_HARTMANN3_C * np.exp(-inner)))
+    inner = np.sum(_HARTMANN3_A * (x[..., None, :] - _HARTMANN3_P) ** 2, axis=-1)
+    return -np.sum(_HARTMANN3_C * np.exp(-inner), axis=-1)
 
 
 # -- registry -----------------------------------------------------------------

@@ -8,9 +8,12 @@ elite) when its golden ratio is near phi, or stays put. An elite archive
 
 One iteration is array work over the population: a single (P, 8) block of
 uniforms gives every agent its hand pressures, golden ratio, branch, rates
-and pattern-memory pick. The agents are still evaluated one at a time, in
-agent order, with the global best updated after each, as in the original
-agent-by-agent method (Abdulhameed & Rashid 2022).
+and pattern-memory pick, and one objective call evaluates the moving
+agents' candidates. The result is that of the original agent-by-agent method
+(Abdulhameed & Rashid 2022), which evaluates the agents one at a time, in
+agent order, with the global best updated after each: an agent that improves
+the global best ends the batch, and the candidates after it are rebuilt with
+the new global best and evaluated in one more call.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import core
-from .core import Archive, Problem, RunConfig, RunResult, clamp, evaluate, indices, make_rng, scale
+from .core import Archive, Problem, RunConfig, RunResult, clamp, indices, make_rng, scale
 
 # The paper's protocol: fixed, not settable.
 PHI = 1.618
@@ -114,9 +117,14 @@ def cddo_step(state: CddoState, problem: Problem, rng) -> CddoState:
     """One iteration over all agents; mutates and returns state.
 
     Branches and moves are computed for all agents at once from one block of
-    uniforms. The movers are then evaluated in agent order with gbest updated
-    after each, as in the agent-by-agent loop: when an agent improves gbest,
-    the candidates of the agents after it are rebuilt with the new gbest.
+    uniforms, and the movers' candidates are evaluated in one call. In the
+    agent-by-agent loop each agent sees the gbest of the agents before it, so
+    the rows are kept up to the first one that is not >= gbest (it improves
+    gbest, or is NaN): every kept row was built with the gbest its agent
+    would have seen. At that row gbest is updated, and the candidates of the
+    agents after it are rebuilt and evaluated in one more call. A stochastic
+    objective gets one row per call, because a rebuilt row must not draw its
+    noise twice. ``evals`` counts one evaluation per mover, as the loop does.
     """
     x, lbest_x = state.x, state.lbest_x
     u = rng.random((len(x), N_UNIFORMS))
@@ -141,10 +149,19 @@ def cddo_step(state: CddoState, problem: Problem, rng) -> CddoState:
     build(0)
     movers = np.flatnonzero(skill | creative)
     fit = np.empty(len(movers))
-    for j, i in enumerate(movers.tolist()):
-        fit[j] = f = evaluate(problem, new[i], rng)
-        if f < state.gbest_f:
-            state.gbest_x, state.gbest_f = new[i].copy(), f
+    j = 0  # movers before j have their agent-by-agent fitness
+    while j < len(movers):
+        rows = movers[j:j + 1] if problem.stochastic else movers[j:]
+        f = core.evaluate_rows(problem, new[rows], rng)
+        stop = np.flatnonzero(~(f >= state.gbest_f))
+        n = stop[0] + 1 if len(stop) else len(f)  # rows kept
+        fit[j:j + n] = f[:n]
+        j += n
+        if len(stop):
+            i, f_i = rows[n - 1], float(f[n - 1])
+            if math.isnan(f_i):
+                raise core.nan_error(problem)
+            state.gbest_x, state.gbest_f = new[i].copy(), f_i
             build(i + 1)
 
     moved = new[movers]

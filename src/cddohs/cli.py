@@ -27,15 +27,15 @@ def _parse_algos(spec: str) -> list[str]:
 
 
 def cmd_run(args) -> int:
-    plan = ExperimentPlan(
-        algorithms=_parse_algos(args.algo),
-        functions=_parse_funcs(args.func),
-        config=RunConfig(pop_size=args.pop, max_iters=args.iters,
-                         n_runs=args.runs, base_seed=args.seed),
-        output_dir=Path(args.out),
-        formats=FORMATS if args.format == "both" else (args.format,),
-    )
     try:
+        plan = ExperimentPlan(
+            algorithms=_parse_algos(args.algo),
+            functions=_parse_funcs(args.func),
+            config=RunConfig(pop_size=args.pop, max_iters=args.iters,
+                             n_runs=args.runs, base_seed=args.seed),
+            output_dir=Path(args.out),
+            formats=FORMATS if args.format == "both" else (args.format,),
+        )
         plan.validate()
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -13,15 +13,19 @@ import numpy as np
 class Problem:
     """A box-constrained minimization problem.
 
-    ``objective`` takes a position vector; stochastic objectives additionally
-    take the run's RNG (use :func:`evaluate` rather than calling it directly).
+    ``objective`` takes one point (d,) and returns a float, or rows (n, d) and
+    returns (n,), row i bit for bit the one-point value: CDDO evaluates a
+    step's moving agents, and every run its initial population, in one call.
+    Stochastic objectives additionally take the run's RNG and draw their
+    noise from it once per point, in row order. Call it through
+    :func:`evaluate` or :func:`evaluate_rows`.
     """
 
     id: str
     dim: int
     lower: float
     upper: float
-    objective: Callable[..., float]
+    objective: Callable[..., float | np.ndarray]
     stochastic: bool = False
 
     def __post_init__(self):
@@ -109,26 +113,49 @@ def clamp(position: np.ndarray, problem: Problem) -> np.ndarray:
     return np.clip(position, problem.lower, problem.upper)
 
 
-def evaluate(problem: Problem, position: np.ndarray, rng: Optional[np.random.Generator] = None) -> float:
-    """Evaluate the objective; stochastic objectives draw their noise from rng.
+def nan_error(problem: Problem) -> ValueError:
+    """NaN has no place in a ranking, so an objective that returns it fails
+    the run; +inf is kept and ranks last."""
+    return ValueError(f"{problem.id}: objective returned NaN")
 
-    NaN has no place in a ranking, so it raises; +inf is kept and ranks last.
-    """
+
+def _call(problem: Problem, x: np.ndarray, rng: Optional[np.random.Generator]):
     if problem.stochastic:
         if rng is None:
             raise ValueError(f"{problem.id} is stochastic and needs an RNG")
-        value = float(problem.objective(position, rng))
-    else:
-        value = float(problem.objective(position))
+        return problem.objective(x, rng)
+    return problem.objective(x)
+
+
+def evaluate(problem: Problem, position: np.ndarray, rng: Optional[np.random.Generator] = None) -> float:
+    """The objective at one point (d,); stochastic objectives draw their noise
+    from rng. NaN raises (see :func:`nan_error`)."""
+    value = float(_call(problem, position, rng))
     if math.isnan(value):
-        raise ValueError(f"{problem.id}: objective returned NaN")
+        raise nan_error(problem)
     return value
+
+
+def evaluate_rows(problem: Problem, rows: np.ndarray,
+                  rng: Optional[np.random.Generator] = None) -> np.ndarray:
+    """The objective at each row of rows (n, d), from one call: (n,) floats.
+
+    NaN is returned, not raised: a caller that keeps only some of the rows
+    checks those (see :func:`nan_error`).
+    """
+    values = np.asarray(_call(problem, rows, rng), dtype=float)
+    if values.shape != (len(rows),):
+        raise ValueError(f"{problem.id}: objective returned shape {values.shape} for "
+                         f"{len(rows)} rows; it must map rows (n, d) to values (n,)")
+    return values
 
 
 def init_population(problem: Problem, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Positions (n, dim) uniform in the box, drawn in one call, and their
-    fitness (n,), evaluated row by row on the same stream (F7 draws its noise
-    from it after the positions)."""
+    fitness (n,), evaluated in one call on the same stream (F7 draws its n
+    noise values from it after the positions)."""
     x = scale(rng.random((n, problem.dim)), problem.lower, problem.upper)
-    f = np.array([evaluate(problem, row, rng) for row in x])
+    f = evaluate_rows(problem, x, rng)
+    if np.isnan(f).any():
+        raise nan_error(problem)
     return x, f

@@ -54,6 +54,10 @@ class ExperimentPlan:
             dups = sorted({i for i in ids if ids.count(i) > 1})
             if dups:
                 raise ValueError(f"duplicate {kind} {', '.join(dups)}")
+        if len(self.algorithms) > 1 and self.config.n_runs < 2:
+            # each p-value compares two samples of n_runs final fitnesses
+            raise ValueError("comparing algorithms needs at least 2 runs per cell, "
+                             f"got {self.config.n_runs}")
 
 
 def cell_seed(base_seed: int, algo: str, func: str) -> int:

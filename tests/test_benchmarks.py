@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cddohs import benchmarks
 from cddohs.benchmarks import FUNCTION_IDS, SPECS, evaluate_at, make_function
@@ -153,11 +154,53 @@ class TestProperties:
         x = np.linspace(-1, 1, 10)
         assert evaluate_at("F7", x, rng=make_rng(3)) == evaluate_at("F7", x, rng=make_rng(3))
 
-    @given(st.floats(-60, 60), st.floats(min_value=0.1, max_value=20))
+    @given(st.lists(st.floats(-60, 60), min_size=1, max_size=9),
+           st.floats(min_value=0.1, max_value=20))
     @settings(max_examples=200, deadline=None)
-    def test_penalty_zero_iff_inside(self, x, a):
-        val = benchmarks._penalty(np.array([x]), a, 100.0, 4.0)
-        if abs(x) <= a:
-            assert val == 0.0
-        else:
-            assert val > 0.0
+    def test_penalty_zero_iff_inside(self, xs, a):
+        # one row per value: the penalty of each row is its own
+        val = benchmarks._penalty(np.array(xs)[:, None], a, 100.0, 4.0)
+        assert val.shape == (len(xs),)
+        for x, v in zip(xs, val):
+            assert (v == 0.0) if abs(x) <= a else (v > 0.0)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+class TestRowContract:
+    """Every objective maps rows (n, d) to (n,), row i bit for bit its
+    one-point value: CDDO's batched step is exact only if this holds."""
+
+    @pytest.mark.parametrize("fid", FUNCTION_IDS)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_rows_equal_points(self, fid, data):
+        s = SPECS[fid]
+        n = data.draw(st.sampled_from([1, 8, 9, 40]), label="n")
+        x = data.draw(hnp.arrays(np.float64, (2 * n, s.dim),
+                                 elements=st.floats(s.lower, s.upper)), label="x")
+        pick = data.draw(st.permutations(range(2 * n)), label="pick")[:n]
+        seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+        for rows in (x[:n], x, x[::2], x[pick]):  # contiguous, strided, fancy-indexed
+            if s.stochastic:
+                batch_rng, point_rng = make_rng(seed), make_rng(seed)
+                batch = s.objective(rows, batch_rng)
+                points = [s.objective(row, point_rng) for row in rows]
+                assert batch_rng.random() == point_rng.random()  # the same draws
+            else:
+                batch, points = s.objective(rows), [s.objective(row) for row in rows]
+            assert batch.shape == (len(rows),)
+            assert np.array_equal(_bits(batch), _bits(points)), fid
+
+    @given(st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_f7_rows_draw_as_successive_points(self, n, seed):
+        x = _random_input("F7", make_rng(seed)) * np.ones((n, 1))
+        batch_rng, point_rng = make_rng(seed), make_rng(seed)
+        batch = benchmarks.f7_quartic_noise(x, batch_rng)
+        points = [evaluate_at("F7", row, rng=point_rng) for row in x]
+        assert np.array_equal(_bits(batch), _bits(points))
+        assert len(set(points)) == n  # each row drew its own noise
+        assert batch_rng.random() == point_rng.random()

@@ -3,7 +3,7 @@ import pytest
 
 from cddohs import cddo as cddo_mod
 from cddohs import hybrid
-from cddohs.benchmarks import make_function
+from cddohs.benchmarks import FUNCTION_IDS, make_function
 from cddohs.cddo import (
     GR_TOLERANCE, N_UNIFORMS, PHI, SR_LR_HIGH, SR_LR_LOW, U_RHP, CddoState, cddo_run, cddo_step,
     creativity_update, golden_ratio, hand_pressures, init_state, skill_update,
@@ -13,7 +13,7 @@ from cddohs.core import Archive, Problem, RunConfig, evaluate, make_rng
 
 def _problem(dim=2, lower=-10.0, upper=10.0):
     return Problem(id="t", dim=dim, lower=lower, upper=upper,
-                   objective=lambda x: float(np.sum(x * x)))
+                   objective=lambda x: np.sum(x * x, axis=-1))
 
 
 def _cand(*vals):
@@ -254,7 +254,7 @@ class TestCddoStep:
         assert np.all((skill_rates >= 0.6) & (skill_rates < 1.0))
         assert np.all((creativity_rates >= 0.0) & (creativity_rates < 0.5))
 
-    @pytest.mark.parametrize("func", ["F1", "F5", "F7", "F16"])
+    @pytest.mark.parametrize("func", FUNCTION_IDS)
     def test_matches_agent_by_agent_reference(self, func):
         p = make_function(func)
         cfg = RunConfig(pop_size=40, base_seed=31)
@@ -282,29 +282,51 @@ class TestCddoStep:
         _assert_same(state, ref)
         assert state.refresh_accepts > 0
 
-    def test_later_agents_see_the_gbest_an_earlier_agent_found(self):
-        # Agent 0 moves to (0.5, -0.25) and improves gbest; agent 1's skill
-        # move must then pull toward that point, not toward the old gbest.
-        p = _problem()
-        x = np.array([[1.0, -0.5], [4.0, 4.0]])
+    # Agent 0 moves to (0.5, -0.25) and improves gbest; agent 1's skill move
+    # must then pull toward that point, not toward the old gbest.
+    TWO_AGENTS = np.array([[1.0, -0.5], [4.0, 4.0]])
+    NEW_GBEST = np.array([0.5, -0.25])  # gr = (1 - 0.5) / 1 scales agent 0
+    FRESH = skill_update(TWO_AGENTS[1], TWO_AGENTS[1], NEW_GBEST, 2.0, 0.8, 0.8, _problem())
+    STALE = skill_update(TWO_AGENTS[1], TWO_AGENTS[1], TWO_AGENTS[0], 2.0, 0.8, 0.8, _problem())
+
+    def _two_agent_step(self, p, step):
+        x = self.TWO_AGENTS
         f = np.sum(x * x, axis=1)
         state = CddoState(x.copy(), x.copy(), f.copy(), x[0].copy(), float(f[0]),
                           Archive.best_of(x, f, 1))
         u = np.zeros((2, N_UNIFORMS))
         u[:, U_RHP] = 0.99  # rhp 9.8 > hp: both agents take the skill branch
         u[:, 6:] = 0.5      # sr = lr = 0.8
-        old_gbest = state.gbest_x
-        cddo_step(state, p, BlockRng(u))
-        new_gbest = np.array([0.5, -0.25])  # gr = (1 - 0.5) / 1 scales agent 0
-        assert np.array_equal(state.gbest_x, new_gbest)
-        expected = skill_update(x[1], x[1], new_gbest, 2.0, 0.8, 0.8, p)
-        stale = skill_update(x[1], x[1], old_gbest, 2.0, 0.8, 0.8, p)
-        assert np.array_equal(state.x[1], expected)
-        assert not np.array_equal(state.x[1], stale)
-        ref = CddoState(x.copy(), x.copy(), f.copy(), x[0].copy(), float(f[0]),
-                        Archive.best_of(x, f, 1))
-        reference_step(ref, p, BlockRng(u))
-        _assert_same(state, ref)
+        step(state, p, BlockRng(u))
+        return state
+
+    def test_later_agents_see_the_gbest_an_earlier_agent_found(self):
+        p = _problem()
+        state = self._two_agent_step(p, cddo_step)
+        assert np.array_equal(state.gbest_x, self.NEW_GBEST)
+        assert np.array_equal(state.x[1], self.FRESH)
+        assert not np.array_equal(self.FRESH, self.STALE)
+        _assert_same(state, self._two_agent_step(p, reference_step))
+
+    @staticmethod
+    def _nan_at(point):
+        """A row-wise user problem that is NaN at ``point`` and x.x elsewhere."""
+        def objective(x):
+            return np.where(np.all(x == point, axis=-1), np.nan, np.sum(x * x, axis=-1))
+        return Problem(id="nan-at-point", dim=2, lower=-10.0, upper=10.0, objective=objective)
+
+    def test_nan_in_a_rebuilt_candidate_does_not_raise(self):
+        # The batch holds agent 1's stale candidate; the agent-by-agent loop
+        # rebuilds it before evaluating it, so its NaN is never a result.
+        p = self._nan_at(self.STALE)
+        state = self._two_agent_step(p, cddo_step)
+        assert np.array_equal(state.x[1], self.FRESH)
+        _assert_same(state, self._two_agent_step(p, reference_step))
+
+    def test_nan_in_an_evaluated_row_raises(self):
+        for point in (self.NEW_GBEST, self.FRESH):  # the first batch, the rebuilt one
+            with pytest.raises(ValueError, match="nan-at-point: objective returned NaN"):
+                self._two_agent_step(self._nan_at(point), cddo_step)
 
 
 class TestCddoRun:

@@ -15,7 +15,7 @@ from cddohs.hybrid import cddo_hs_run
 
 def _toy(dim=3, lower=-1.0, upper=1.0):
     return Problem(id="toy", dim=dim, lower=lower, upper=upper,
-                   objective=lambda x: float(np.sum(x * x)))
+                   objective=lambda x: np.sum(x * x, axis=-1))
 
 
 class TestProblem:
@@ -167,11 +167,14 @@ class TestArchive:
 
 
 def _nan_on_call(k):
-    """A user problem whose k-th objective call returns NaN."""
-    calls = itertools.count(1)
+    """A user problem that returns NaN on the k-th row it evaluates (a
+    one-point call is one row)."""
+    rows = itertools.count(1)
 
     def objective(x):
-        return math.nan if next(calls) == k else float(np.sum(x * x))
+        f = np.array(np.sum(x * x, axis=-1))
+        f.reshape(-1)[[next(rows) == k for _ in range(f.size)]] = math.nan
+        return f
 
     return Problem(id="nan-at-k", dim=3, lower=-1.0, upper=1.0, objective=objective)
 
@@ -182,10 +185,19 @@ class TestNonFiniteObjectives:
         assert evaluate(p, np.zeros(2)) == math.inf
 
     @pytest.mark.parametrize("run", [cddo_run, hs_run, cddo_hs_run])
+    def test_point_only_objective_is_rejected(self, run):
+        # an objective that sums rows (n, d) into one value would give every
+        # agent the same fitness
+        p = Problem(id="point-only", dim=2, lower=-1.0, upper=1.0,
+                    objective=lambda x: float(np.sum(x * x)))
+        with pytest.raises(ValueError, match="point-only: objective returned shape"):
+            run(p, RunConfig(pop_size=5, max_iters=5))
+
+    @pytest.mark.parametrize("run", [cddo_run, hs_run, cddo_hs_run])
     @pytest.mark.parametrize("k", [1, 8])
     def test_nan_raises_naming_the_problem(self, run, k):
         # k=1 hits initialisation; k=8 (pop 5) hits the iteration loop
-        with pytest.raises(ValueError, match="nan-at-k"):
+        with pytest.raises(ValueError, match="nan-at-k: objective returned NaN"):
             run(_nan_on_call(k), RunConfig(pop_size=5, max_iters=20))
 
 

@@ -49,6 +49,14 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="duplicate function F16"):
             plan.validate()
 
+    def test_single_run_comparison(self):
+        # a p-value needs two runs per sample; one algorithm needs no p-value
+        one_run = RunConfig(pop_size=8, max_iters=20, n_runs=1)
+        plan = ExperimentPlan(algorithms=["cddo", "hs"], functions=["F1"], config=one_run)
+        with pytest.raises(ValueError, match="at least 2 runs per cell, got 1"):
+            plan.validate()
+        ExperimentPlan(algorithms=["hs"], functions=["F1"], config=one_run).validate()
+
     def test_empty_formats(self):
         # no format would run the whole grid and write nothing
         plan = ExperimentPlan(algorithms=["hs"], functions=["F1"], config=TINY, formats=())
@@ -227,6 +235,17 @@ class TestCli:
         rc = main(["compare", "--summary", str(tmp_path / f"summary.{fmt}")])
         assert rc == 0
         assert "wins vs hs" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("args", [["--runs", "1"], ["--runs", "0"], ["--pop", "0"],
+                                      ["--iters", "0"]])
+    def test_run_rejects_arguments_before_the_grid(self, tmp_path, capsys, args):
+        # exit 2 like every other argument error, with nothing run or written
+        out = tmp_path / "out"
+        rc = main(["run", "--algo", "cddo,hs", "--func", "F1", "--iters", "5",
+                   "--out", str(out), *args])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("payload", ['{"algo": "hs"}', "[1, 2]", "3"])
     def test_compare_rejects_json_without_rows(self, tmp_path, capsys, payload):

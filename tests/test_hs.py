@@ -8,7 +8,7 @@ from cddohs.hs import HarmonyMemory, hs_run, improvise
 
 def _problem(dim=4, lower=-1.0, upper=1.0):
     return Problem(id="t", dim=dim, lower=lower, upper=upper,
-                   objective=lambda x: float(np.sum(x * x)))
+                   objective=lambda x: np.sum(x * x, axis=-1))
 
 
 def _rows(positions):
