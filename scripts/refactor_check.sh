@@ -1,6 +1,8 @@
 #!/bin/sh
 # Refactor check: print seven digests that a change which should not alter
-# results must leave unchanged (see "Refactor check" in README.md).
+# results must leave unchanged (see "Refactor check" in README.md), and compare
+# them with scripts/refactor_check.expected: on a mismatch the diff goes to
+# stderr and the exit status is 1.
 #
 #   sh scripts/refactor_check.sh
 #
@@ -22,6 +24,7 @@ digest() { sha256sum | cut -d' ' -f1; }
 cddohs run --algo all --func all --runs 4 --iters 30 --seed 2023 --out "$tmp/X" >"$tmp/paths"
 cddohs run --algo all --func F6,F11,F16 --runs 10 --iters 30 --seed 2023 --out "$tmp/Y" >>"$tmp/paths"
 
+{
 echo "artifacts X  $(cd "$tmp/X" && sha256sum * | digest)"
 echo "artifacts Y  $(cd "$tmp/Y" && sha256sum * | digest)"
 echo "paths        $(sed "s|^$tmp/||" "$tmp/paths" | digest)"
@@ -40,3 +43,7 @@ for algo, run in ALGORITHMS.items():
             result = run(make_function(func), config, r)
             print(algo, func, r, repr(result.best_fitness), result.evals)
 ' | digest)"
+} >"$tmp/lines"
+
+cat "$tmp/lines"
+diff -u scripts/refactor_check.expected "$tmp/lines" >&2

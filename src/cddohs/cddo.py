@@ -74,6 +74,8 @@ def golden_ratio(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     Each row of u (P, 4) holds two (M, N) draws. A zero denominator in the
     first is retried with the second; if that is zero too, the ratio is phi,
     so the agent falls into the creativity branch rather than dividing by zero.
+    A ratio that overflows is phi as well: an infinite gr would make the skill
+    move inf * 0 or inf - inf, a NaN position.
     """
     p, d = x.shape
     if d < 2:
@@ -84,7 +86,9 @@ def golden_ratio(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     n += n >= m
     k = (x[r, m[:, 0]] == 0.0).astype(np.intp)  # the second draw where the first has x[M] == 0
     den = x[r, m[r, k]]
-    return np.divide(den + x[r, n[r, k]], den, out=np.full(p, PHI), where=den != 0.0)
+    gr = np.divide(den + x[r, n[r, k]], den, out=np.full(p, PHI), where=den != 0.0)
+    gr[np.isinf(gr)] = PHI
+    return gr
 
 
 def skill_update(x: np.ndarray, lbest: np.ndarray, gbest: np.ndarray,
@@ -177,11 +181,8 @@ def cddo_step(state: CddoState, problem: Problem, rng) -> CddoState:
     return state
 
 
-RefreshFn = Callable[[CddoState, Problem, np.random.Generator], None]
-
-
 def _run_engine(problem: Problem, config: RunConfig, pm_fraction: float,
-                run_index: int, refresh: Optional[RefreshFn] = None) -> RunResult:
+                run_index: int, refresh: Optional[Callable] = None) -> RunResult:
     """Shared driver for CDDO and the hybrid (the hybrid passes its larger
     pattern-memory fraction and a refresh hook); run r uses seed base_seed + r."""
     if problem.dim < 2:

@@ -82,11 +82,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cddo | hs | cddo-hs | all | comma-separated list")
     p_run.add_argument("--func", default="classical",
                        help="F1..F19 | classical | all | comma-separated list")
-    p_run.add_argument("--pop", type=int, default=40)
-    p_run.add_argument("--iters", type=int, default=500)
-    p_run.add_argument("--runs", type=int, default=30)
-    p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--out", default="results")
+    p_run.add_argument("--pop", type=int, default=RunConfig.pop_size)
+    p_run.add_argument("--iters", type=int, default=RunConfig.max_iters)
+    p_run.add_argument("--runs", type=int, default=RunConfig.n_runs)
+    p_run.add_argument("--seed", type=int, default=RunConfig.base_seed)
+    p_run.add_argument("--out", default=ExperimentPlan.output_dir)
     p_run.add_argument("--format", choices=[*FORMATS, "both"], default="both")
     p_run.set_defaults(fn=cmd_run)
 

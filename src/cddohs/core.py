@@ -35,6 +35,9 @@ class Problem:
             raise ValueError(f"need finite bounds, got [{self.lower}, {self.upper}]")
         if not self.lower < self.upper:
             raise ValueError(f"need lower < upper, got [{self.lower}, {self.upper}]")
+        if not math.isfinite(self.upper - self.lower):
+            # every uniform draw in the box is lower + (upper - lower) * u
+            raise ValueError(f"box width upper - lower overflows: [{self.lower}, {self.upper}]")
 
 
 @dataclass
@@ -143,7 +146,9 @@ def evaluate_rows(problem: Problem, rows: np.ndarray,
     NaN is returned, not raised: a caller that keeps only some of the rows
     checks those (see :func:`nan_error`).
     """
-    values = np.asarray(_call(problem, rows, rng), dtype=float)
+    # C order: numpy reduces the last axis of another layout in another order,
+    # so row values could differ from the one-point values in the last bit
+    values = np.asarray(_call(problem, np.ascontiguousarray(rows), rng), dtype=float)
     if values.shape != (len(rows),):
         raise ValueError(f"{problem.id}: objective returned shape {values.shape} for "
                          f"{len(rows)} rows; it must map rows (n, d) to values (n,)")

@@ -171,6 +171,8 @@ def load_averages(path) -> dict:
     averages = {}
     for row in _rows(path, "func"):
         func = row.pop("func")
+        if not row:
+            raise ValueError(f"{path}: no algorithm columns")
         if func in averages:
             raise ValueError(f"{path}: {func}: repeated row")
         averages[func] = {algo: _number(path, f"{func}/{algo}", v) for algo, v in row.items()}

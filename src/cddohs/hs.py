@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import core
-from .core import Archive, Problem, RunConfig, RunResult, evaluate, indices, make_rng, scale
+from .core import Archive, Problem, RunConfig, RunResult, clamp, evaluate, indices, make_rng, scale
 
 # The paper's protocol: fixed, not settable.
 HMCR = 0.995  # per-component probability of copying from memory
@@ -33,7 +33,15 @@ def improvise(positions: np.ndarray, problem: Problem, rng) -> np.ndarray:
     memory = positions[indices(u[1], len(positions)), np.arange(d)]
     memory = np.where(u[2] <= PAR, memory + scale(u[3], -1.0, 1.0) * BW, memory)
     new = np.where(u[0] <= HMCR, memory, scale(u[3], problem.lower, problem.upper))
-    return np.clip(new, problem.lower, problem.upper)
+    return clamp(new, problem)
+
+
+def iterate(memory: Archive, problem: Problem, rng) -> tuple[bool, np.ndarray, float]:
+    """One standard HS iteration (HS's, and the hybrid's PM refresh): improvise,
+    evaluate, keep the vector if it beats the worst row; (kept, position, fitness)."""
+    position = improvise(memory.x, problem, rng)
+    fitness = evaluate(problem, position, rng)
+    return memory.replace_worst(position, fitness), position, fitness
 
 
 def hs_run(problem: Problem, config: RunConfig, run_index: int = 0) -> RunResult:
@@ -44,8 +52,7 @@ def hs_run(problem: Problem, config: RunConfig, run_index: int = 0) -> RunResult
     trace = np.empty(config.max_iters)
     accepts = 0
     for t in range(config.max_iters):
-        pos = improvise(hm.x, problem, rng)
-        accepts += hm.replace_worst(pos, evaluate(problem, pos, rng))
+        accepts += iterate(hm, problem, rng)[0]
         trace[t] = hm.f.min()
     best = int(np.argmin(hm.f))
     return RunResult(

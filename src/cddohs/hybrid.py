@@ -3,21 +3,13 @@ population) that a Harmony-Search improvisation refreshes every iteration."""
 
 from __future__ import annotations
 
-import numpy as np
-
 from .cddo import CddoState, _run_engine
-from .core import Archive, Problem, RunConfig, RunResult, evaluate
-from .hs import improvise
+from .core import Problem, RunConfig, RunResult
+# The refresh is one HS iteration over the PM. ``_refresh`` looks this name up
+# at call time, so a wrapper set on ``hybrid._improvise_refresh`` sees every refresh.
+from .hs import iterate as _improvise_refresh
 
 PM_FRACTION = 0.8
-
-
-def _improvise_refresh(pm: Archive, problem: Problem, rng) -> tuple[bool, np.ndarray, float]:
-    """Improvise one vector over the PM rows and keep it if it beats the PM's
-    worst; returns (replaced, position, fitness)."""
-    pos = improvise(pm.x, problem, rng)
-    fit = evaluate(problem, pos, rng)
-    return pm.replace_worst(pos, fit), pos, fit
 
 
 def _refresh(state: CddoState, problem: Problem, rng) -> None:

@@ -67,18 +67,15 @@ def wilcoxon_rank_sum(a, b) -> float:
         return 1.0  # no evidence either way
     if math.comb(n1 + n2, n1) <= _EXACT_ENUMERATION_LIMIT:
         return _exact_two_sided_p(ranks, n1)
-    r1 = float(np.sum(ranks[:n1]))
-    u1 = n1 * n2 + n1 * (n1 + 1) / 2.0 - r1
-    u2 = n1 * n2 - u1
+    # the first sample's rank sum, as far from its mean as the exact branch takes it
+    n = n1 + n2
+    deviation = abs(float(np.sum(ranks[:n1])) - n1 * (n + 1) / 2.0)
 
     # tie correction: 1 - sum(t^3 - t) / (N^3 - N)
-    n = n1 + n2
     correction = 1.0 - float(np.sum(counts ** 3 - counts)) / (n ** 3 - n)
     sd = math.sqrt(correction * n1 * n2 * (n + 1) / 12.0)
 
-    mean_u = n1 * n2 / 2.0
-    z = (max(u1, u2) - mean_u - 0.5) / sd
-    z = max(z, 0.0)
+    z = max((deviation - 0.5) / sd, 0.0)
     p = 2.0 * (1.0 - _norm_cdf(z))
     return min(max(p, np.nextafter(0.0, 1.0)), 1.0)
 
@@ -113,6 +110,8 @@ def rank_algorithms(results: dict) -> RankTable:
     if not results:
         raise ValueError("results must be non-empty")
     algos = sorted(next(iter(algo_sets)))
+    if not algos:
+        raise ValueError("need at least one algorithm to rank")
 
     placements: dict = {}
     for func, row in results.items():

@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from cddohs import benchmarks
 from cddohs.benchmarks import FUNCTION_IDS, SPECS, evaluate_at, make_function
-from cddohs.core import Problem, make_rng
+from cddohs.core import Problem, evaluate, evaluate_rows, make_rng
 
 # functions whose known minimizer certifies f_min (relative 1e-3, abs floor
 # 1e-6 so exact-zero optima like F1's are checked tightly)
@@ -193,6 +193,18 @@ class TestRowContract:
                 batch, points = s.objective(rows), [s.objective(row) for row in rows]
             assert batch.shape == (len(rows),)
             assert np.array_equal(_bits(batch), _bits(points)), fid
+
+    @pytest.mark.parametrize("fid", FUNCTION_IDS)
+    def test_fortran_ordered_rows_equal_points(self, fid):
+        # numpy reduces the last axis of a Fortran-ordered array in another
+        # order; evaluate_rows hands the objective C-ordered rows
+        s = SPECS[fid]
+        for n in (8, 9, 40):
+            x = np.asfortranarray(s.lower + (s.upper - s.lower) * make_rng(n).random((n, s.dim)))
+            batch_rng, point_rng = make_rng(n), make_rng(n)
+            batch = evaluate_rows(s, x, batch_rng)
+            points = [evaluate(s, row, point_rng) for row in x]
+            assert np.array_equal(_bits(batch), _bits(points)), (fid, n)
 
     @given(st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=50, deadline=None)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,13 @@ class TestGoldenRatio:
         u = np.tile([0.0, 0.0, 0.5, 0.0], (3, 1))
         assert golden_ratio(x, u).tolist() == [1.0, 2.0, PHI]
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflow_is_phi(self):
+        # (x[M] + x[N]) / x[M] overflows for a tiny x[M] or a sum beyond the float range
+        assert _gr([1e-300, 1e300, 0.0], 0.0, 0.0, 0.0, 0.0) == PHI
+        assert _gr([-1e307, -1e307], 0.0, 0.0, 0.0, 0.0) == 2.0
+        assert _gr([1.5e308, 1.5e308], 0.0, 0.0, 0.0, 0.0) == PHI
+
     def test_requires_two_dims(self):
         with pytest.raises(ValueError):
             golden_ratio(np.ones((3, 1)), np.zeros((3, 4)))
@@ -170,6 +179,7 @@ def reference_step(state, problem, rng):
                 n += 1
             if x[m] != 0.0:
                 gr = (x[m] + x[n]) / x[m]
+                gr = gr if math.isfinite(gr) else PHI
                 break
         if hp < rhp:
             sr, lr = uniform(row[6], SR_LR_HIGH), uniform(row[7], SR_LR_HIGH)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cddohs.benchmarks import FUNCTION_IDS, make_function
 from cddohs.cddo import cddo_run
@@ -201,8 +203,87 @@ class TestNonFiniteObjectives:
             run(_nan_on_call(k), RunConfig(pop_size=5, max_iters=20))
 
 
+RUNS = [cddo_run, hs_run, cddo_hs_run]
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+HUGE = st.floats(min_value=2.0 ** 1022, allow_infinity=False)  # where widths can overflow
+BOUNDS = st.one_of(FINITE, HUGE, HUGE.map(lambda v: -v))
+
+
+@st.composite
+def _boxes(draw):
+    """(lower, upper) anywhere in the finite float range, lower < upper."""
+    lower, upper = sorted((draw(BOUNDS), draw(BOUNDS)))
+    assume(lower < upper)
+    return lower, upper
+
+
+def _user_problem(box, dim, objective):
+    """A Problem over box, or a skipped example where the box is rejected."""
+    try:
+        return Problem(id="user", dim=dim, lower=box[0], upper=box[1], objective=objective)
+    except ValueError:
+        assume(False)
+
+
+def _arctan_sum(x):
+    return np.sum(np.arctan(x), axis=-1)  # finite wherever x is
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestUserProblems:
+    """User-defined problems over boxes drawn from the whole finite float
+    range, dims 2-5, run briefly by every optimiser. Near the ends of that
+    range a move can overflow; clamping takes it back into the box."""
+
+    CONFIG = dict(pop_size=6, max_iters=8)
+
+    @given(box=_boxes())
+    def test_rejected_exactly_when_the_width_overflows(self, box):
+        lower, upper = box
+        if math.isfinite(upper - lower):
+            Problem(id="user", dim=2, lower=lower, upper=upper, objective=_arctan_sum)
+        else:
+            with pytest.raises(ValueError, match="width"):
+                Problem(id="user", dim=2, lower=lower, upper=upper, objective=_arctan_sum)
+
+    @pytest.mark.parametrize("run", RUNS)
+    @given(box=_boxes(), dim=st.integers(2, 5), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_best_lies_in_the_box(self, run, box, dim, seed):
+        p = _user_problem(box, dim, _arctan_sum)
+        r = run(p, RunConfig(**self.CONFIG, base_seed=seed))
+        assert r.best_position.shape == (dim,)
+        assert np.all((p.lower <= r.best_position) & (r.best_position <= p.upper))
+        assert r.best_fitness == evaluate(p, r.best_position)
+
+    @pytest.mark.parametrize("run, seed", [(cddo_run, 34), (cddo_hs_run, 103)])
+    def test_overflowing_golden_ratio_stays_in_the_box(self, run, seed):
+        # agents clamped to 0 meet golden ratios that overflow; inf * 0 was a
+        # NaN position, reported as a NaN objective
+        p = Problem(id="user", dim=3, lower=0.0, upper=1.5e308, objective=_arctan_sum)
+        r = run(p, RunConfig(pop_size=10, max_iters=30, base_seed=seed))
+        assert np.all((p.lower <= r.best_position) & (r.best_position <= p.upper))
+
+    @pytest.mark.parametrize("run", RUNS)
+    @given(box=_boxes(), dim=st.integers(2, 5), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_infinite_objective_completes(self, run, box, dim, seed):
+        p = _user_problem(box, dim, lambda x: np.full(x.shape[:-1], math.inf))
+        r = run(p, RunConfig(**self.CONFIG, base_seed=seed))
+        assert r.best_fitness == math.inf
+        assert np.all((p.lower <= r.best_position) & (r.best_position <= p.upper))
+
+    @pytest.mark.parametrize("run", RUNS)
+    @given(box=_boxes(), dim=st.integers(2, 5), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_nan_objective_raises_naming_the_problem(self, run, box, dim, seed):
+        p = _user_problem(box, dim, lambda x: np.full(x.shape[:-1], math.nan))
+        with pytest.raises(ValueError, match="user: objective returned NaN"):
+            run(p, RunConfig(**self.CONFIG, base_seed=seed))
+
+
 @pytest.mark.parametrize("func", FUNCTION_IDS)
-@pytest.mark.parametrize("run", [cddo_run, hs_run, cddo_hs_run], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("run", RUNS, ids=lambda f: f.__name__)
 def test_run_counters_add_up(run, func):
     cfg = RunConfig(pop_size=10, max_iters=20, base_seed=7)
     r = run(make_function(func), cfg)

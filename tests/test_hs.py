@@ -3,7 +3,7 @@ import numpy as np
 from cddohs.benchmarks import make_function
 from cddohs.core import Problem, RunConfig, make_rng
 from cddohs import hs
-from cddohs.hs import HarmonyMemory, hs_run, improvise
+from cddohs.hs import HarmonyMemory, hs_run, improvise, iterate
 
 
 def _problem(dim=4, lower=-1.0, upper=1.0):
@@ -91,15 +91,15 @@ class TestHsRun:
     def test_memory_monotonicity(self):
         p = make_function("F10")
         cfg = RunConfig(pop_size=15, max_iters=1, base_seed=2)
-        # track worst/best across a manual loop
-        from cddohs.core import init_population, evaluate
+        # track worst/best across HS iterations
+        from cddohs.core import init_population
         rng = make_rng(3)
         hm = HarmonyMemory(*init_population(p, 15, rng))
         prev_worst = hm.f.max()
         prev_best = hm.f.min()
         for _ in range(200):
-            pos = improvise(hm.x, p, rng)
-            hm.replace_worst(pos, evaluate(p, pos, rng))
+            kept, _, fit = iterate(hm, p, rng)
+            assert kept == (fit in hm.f)
             worst = hm.f.max()
             best = hm.f.min()
             assert worst <= prev_worst and best <= prev_best

@@ -149,6 +149,10 @@ class TestRanking:
         with pytest.raises(ValueError):
             rank_algorithms({"F1": {"a": 1.0}, "F2": {"b": 1.0}})
 
+    def test_empty_algorithm_set_rejected(self):
+        with pytest.raises(ValueError, match="at least one algorithm"):
+            rank_algorithms({"F1": {}, "F2": {}})
+
     def test_placements_match_counting_reference(self):
         # reference: (number strictly better) + (number tied, itself included, + 1) / 2
         rng = np.random.default_rng(5)
