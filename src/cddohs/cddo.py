@@ -69,7 +69,7 @@ def hand_pressures(x: np.ndarray, u: np.ndarray, problem: Problem) -> tuple[np.n
 
 
 def golden_ratio(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """(x[M] + x[N]) / x[M] per row of x (P, d), for distinct indices M != N.
+    """(x[M] + x[N]) / x[M] per row of x (P, d >= 2), for distinct indices M != N.
 
     Each row of u (P, 4) holds two (M, N) draws. A zero denominator in the
     first is retried with the second; if that is zero too, the ratio is phi,
@@ -78,8 +78,6 @@ def golden_ratio(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     move inf * 0 or inf - inf, a NaN position.
     """
     p, d = x.shape
-    if d < 2:
-        raise ValueError("golden ratio needs dim >= 2")
     r = np.arange(p)
     m = indices(u[:, 0::2], d)      # (P, 2): M of each draw
     n = indices(u[:, 1::2], d - 1)  # N != M, drawn from the other d - 1

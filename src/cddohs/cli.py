@@ -14,29 +14,23 @@ from .harness import (ALGORITHMS, FORMATS, ExperimentPlan, compare_to_reference,
 from .stats import rank_algorithms
 
 
-def _parse_funcs(spec: str) -> list[str]:
-    if spec in ("all", "classical"):
-        return list(FUNCTION_IDS)
-    return [f.strip() for f in spec.split(",") if f.strip()]
-
-
-def _parse_algos(spec: str) -> list[str]:
-    if spec == "all":
-        return sorted(ALGORITHMS)
-    return [a.strip() for a in spec.split(",") if a.strip()]
+def _ids(spec: str, known, *names_for_all: str) -> list[str]:
+    """Comma-separated ids, or every id of ``known`` (registry order) for a name for all."""
+    if spec in names_for_all:
+        return list(known)
+    return [i.strip() for i in spec.split(",") if i.strip()]
 
 
 def cmd_run(args) -> int:
     try:
         plan = ExperimentPlan(
-            algorithms=_parse_algos(args.algo),
-            functions=_parse_funcs(args.func),
+            algorithms=_ids(args.algo, ALGORITHMS, "all"),
+            functions=_ids(args.func, FUNCTION_IDS, "all", "classical"),
             config=RunConfig(pop_size=args.pop, max_iters=args.iters,
                              n_runs=args.runs, base_seed=args.seed),
             output_dir=Path(args.out),
             formats=FORMATS if args.format == "both" else (args.format,),
         )
-        plan.validate()
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

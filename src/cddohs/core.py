@@ -3,10 +3,21 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_count(owner: str, name: str, value) -> None:
+    """The count rule: an integer >= 1 (numpy integers pass, bool does not)."""
+    if not (_is_int(value) and value >= 1):
+        raise ValueError(f"{owner}: {name} must be an integer >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -29,8 +40,7 @@ class Problem:
     stochastic: bool = False
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        check_count(f"problem {self.id}", "dim", self.dim)
         if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
             raise ValueError(f"need finite bounds, got [{self.lower}, {self.upper}]")
         if not self.lower < self.upper:
@@ -73,11 +83,17 @@ class RunConfig:
     base_seed: int = 0
 
     def __post_init__(self):
-        if self.pop_size < 1 or self.max_iters < 1 or self.n_runs < 1:
-            raise ValueError("pop_size, max_iters and n_runs must be positive")
+        for name in ("pop_size", "max_iters", "n_runs"):
+            check_count("run config", name, getattr(self, name))
+        if not _is_int(self.base_seed):
+            raise ValueError(f"run config: base_seed must be an integer, got {self.base_seed}")
 
     def seed_for_run(self, run_index: int) -> int:
-        return self.base_seed + run_index
+        """base_seed + run_index, an integer >= 0 (cells replace a negative base seed)."""
+        seed = self.base_seed + run_index
+        if not _is_int(run_index) or seed < 0:
+            raise ValueError(f"run {run_index}: seed {seed} is not an integer >= 0")
+        return seed
 
 
 @dataclass

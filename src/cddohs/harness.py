@@ -34,18 +34,19 @@ CONVERGENCE_HEADER = ["run", "iter", "gbest"]
 PVALUES_HEADER = ["func", "algo_a", "algo_b", "p_value"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentPlan:
-    algorithms: list[str]
-    functions: list[str]
+    algorithms: tuple[str, ...]
+    functions: tuple[str, ...]
     config: RunConfig = field(default_factory=RunConfig)
     output_dir: Path = Path("results")
     formats: tuple[str, ...] = FORMATS
 
-    def validate(self):
-        for kind, ids, known in (("algorithm", self.algorithms, ALGORITHMS),
-                                 ("function", self.functions, FUNCTION_IDS),
-                                 ("format", self.formats, FORMATS)):
+    def __post_init__(self):
+        for kind, name, known in (("algorithm", "algorithms", ALGORITHMS),
+                                  ("function", "functions", FUNCTION_IDS),
+                                  ("format", "formats", FORMATS)):
+            ids = getattr(self, name)
             if not ids:
                 raise ValueError(f"need at least one {kind}")
             for i in ids:
@@ -54,6 +55,7 @@ class ExperimentPlan:
             dups = sorted({i for i in ids if ids.count(i) > 1})
             if dups:
                 raise ValueError(f"duplicate {kind} {', '.join(dups)}")
+            object.__setattr__(self, name, tuple(ids))  # what was checked cannot change
         if len(self.algorithms) > 1 and self.config.n_runs < 2:
             # each p-value compares two samples of n_runs final fitnesses
             raise ValueError("comparing algorithms needs at least 2 runs per cell, "
@@ -95,7 +97,6 @@ def run_experiment(plan: ExperimentPlan) -> dict:
 
     Returns {"paths": [...]}, every file written, CSV before JSON.
     """
-    plan.validate()
     out = Path(plan.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -95,10 +95,6 @@ class TestGoldenRatio:
         assert _gr([-1e307, -1e307], 0.0, 0.0, 0.0, 0.0) == 2.0
         assert _gr([1.5e308, 1.5e308], 0.0, 0.0, 0.0, 0.0) == PHI
 
-    def test_requires_two_dims(self):
-        with pytest.raises(ValueError):
-            golden_ratio(np.ones((3, 1)), np.zeros((3, 4)))
-
 
 class TestSkillUpdate:
     def test_converged_agent_with_zero_gr_goes_to_origin(self):
@@ -340,32 +336,9 @@ class TestCddoStep:
 
 
 class TestCddoRun:
-    def test_deterministic(self):
-        p = make_function("F11")
-        cfg = RunConfig(pop_size=20, max_iters=60, base_seed=77)
-        a = cddo_run(p, cfg)
-        b = cddo_run(p, cfg)
-        assert np.array_equal(a.trace, b.trace)
-        assert np.array_equal(a.best_position, b.best_position)
-        assert a.evals == b.evals
-
-    def test_trace_monotone_and_consistent(self):
-        p = make_function("F9")
-        cfg = RunConfig(pop_size=20, max_iters=80, base_seed=1)
-        r = cddo_run(p, cfg)
-        assert np.all(np.diff(r.trace) <= 0)
-        assert r.best_fitness == r.trace[-1]
-        assert len(r.trace) == cfg.max_iters
-
     def test_nonnegative_objective_stays_nonnegative(self):
         r = cddo_run(make_function("F11"), RunConfig(pop_size=20, max_iters=50, base_seed=2))
         assert r.best_fitness >= 0.0
-
-    def test_eval_budget(self):
-        cfg = RunConfig(pop_size=15, max_iters=40, base_seed=9)
-        r = cddo_run(make_function("F1"), cfg)
-        assert r.evals <= cfg.pop_size * (cfg.max_iters + 1)
-        assert r.evals >= cfg.pop_size
 
     def test_bound_containment_every_iteration(self):
         p = make_function("F16")

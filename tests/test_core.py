@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cddohs.benchmarks import FUNCTION_IDS, make_function
+from cddohs.benchmarks import FUNCTION_IDS, evaluate_at, make_function
 from cddohs.cddo import cddo_run
 from cddohs.core import (
     Archive, Problem, RunConfig, clamp, evaluate, indices, init_population, make_rng, scale,
@@ -46,6 +46,49 @@ class TestRunConfig:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             RunConfig(pop_size=0)
+
+
+class TestCountRule:
+    """dim, pop_size, max_iters and n_runs are integers >= 1: numpy integers
+    pass, floats and bools fail with an error naming the owner and the field."""
+
+    @pytest.mark.parametrize("dim", [2.5, True])
+    def test_problem_dim(self, dim):
+        with pytest.raises(ValueError,
+                           match=f"^problem bad: dim must be an integer >= 1, got {dim}$"):
+            Problem(id="bad", dim=dim, lower=0.0, upper=1.0, objective=lambda x: 0.0)
+
+    @pytest.mark.parametrize("name, value", [("pop_size", 8.5), ("max_iters", True),
+                                             ("n_runs", 3.0)])
+    def test_run_config_counts(self, name, value):
+        with pytest.raises(ValueError,
+                           match=f"^run config: {name} must be an integer >= 1, got {value}$"):
+            RunConfig(**{name: value})
+
+    @pytest.mark.parametrize("run", [cddo_run, hs_run, cddo_hs_run])
+    def test_numpy_integers_pass(self, run):
+        p = _toy(dim=np.int64(2))
+        cfg = RunConfig(pop_size=np.int64(5), max_iters=np.int32(3), n_runs=np.int64(2))
+        assert run(p, cfg).trace.shape == (3,)
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("seed", [1.5, True])
+    def test_base_seed_is_an_integer(self, seed):
+        with pytest.raises(ValueError,
+                           match=f"^run config: base_seed must be an integer, got {seed}$"):
+            RunConfig(base_seed=seed)
+
+    @pytest.mark.parametrize("run", [cddo_run, hs_run, cddo_hs_run])
+    def test_odd_run_seed_names_the_run(self, run):
+        # a negative base seed is legal (the harness replaces it with a cell
+        # seed), but a run cannot start from a negative or fractional seed
+        cfg = RunConfig(pop_size=5, max_iters=2, base_seed=-3)
+        with pytest.raises(ValueError, match="^run 2: seed -1 is not an integer >= 0$"):
+            run(_toy(), cfg, run_index=2)
+        with pytest.raises(ValueError, match=r"^run 4\.5: seed 1\.5 is not an integer >= 0$"):
+            run(_toy(), cfg, run_index=4.5)
+        assert run(_toy(), cfg, run_index=3).seed == 0
 
 
 class TestClamp:
@@ -282,11 +325,25 @@ class TestUserProblems:
             run(p, RunConfig(**self.CONFIG, base_seed=seed))
 
 
+COUNTERS = ("skill", "creativity", "rest", "pm_replacements", "refresh_accepts", "hm_accepts")
+
+
 @pytest.mark.parametrize("func", FUNCTION_IDS)
 @pytest.mark.parametrize("run", RUNS, ids=lambda f: f.__name__)
 def test_run_counters_add_up(run, func):
+    """The run contract of every optimiser on every registry function."""
     cfg = RunConfig(pop_size=10, max_iters=20, base_seed=7)
-    r = run(make_function(func), cfg)
+    p = make_function(func)
+    r = run(p, cfg)
+    again = run(p, cfg)
+    for name in ("trace", "best_position", "best_fitness", "evals", *COUNTERS):
+        assert np.array_equal(getattr(again, name), getattr(r, name)), name
+    assert len(r.trace) == cfg.max_iters
+    assert np.all(np.diff(r.trace) <= 0) and r.trace[-1] == r.best_fitness
+    assert np.all((p.lower <= r.best_position) & (r.best_position <= p.upper))
+    assert all(getattr(r, name) >= 0 for name in COUNTERS)
+    if func != "F7":  # F7 draws fresh noise at every evaluation
+        assert evaluate_at(func, r.best_position) == r.best_fitness
     agent_steps = r.skill + r.creativity + r.rest
     if run is hs_run:
         assert agent_steps == r.pm_replacements == r.refresh_accepts == 0
@@ -299,6 +356,23 @@ def test_run_counters_add_up(run, func):
     assert 0 <= r.pm_replacements <= cfg.max_iters
     assert 0 <= r.refresh_accepts <= refreshes
     assert r.hm_accepts == 0
+
+
+@pytest.mark.parametrize("run", [cddo_run, cddo_hs_run], ids=lambda f: f.__name__)
+def test_f19_agents_rest(run):
+    """Agents that stop moving (ROADMAP item 3), stated with the rest counter.
+
+    On F19 (Hartmann-3 on [1, 3]^3) the skill move pushes agents to the upper
+    corner, where they rest for the rest of the run: CDDO and the hybrid rest
+    in 99.6% of agent steps (CDDO makes 124 evaluations in 500 iterations),
+    against 48% and 46% on F12. A fix for F19 changes these shares and must
+    update this test.
+    """
+    cfg = RunConfig(pop_size=40, max_iters=500, base_seed=2023)
+    for func, low, high in (("F19", 0.99, 1.0), ("F12", 0.0, 0.6)):
+        r = run(make_function(func), cfg)
+        share = r.rest / (r.skill + r.creativity + r.rest)
+        assert low < share <= high, (func, share)
 
 
 # best_fitness and evals of a short fixed-seed run: any change to the order or

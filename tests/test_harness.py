@@ -26,42 +26,47 @@ def tiny_outputs(tmp_path_factory):
 
 class TestPlanValidation:
     def test_unknown_algorithm(self):
-        plan = ExperimentPlan(algorithms=["nope"], functions=["F1"], config=TINY)
         with pytest.raises(ValueError, match="unknown algorithm"):
-            plan.validate()
+            ExperimentPlan(algorithms=["nope"], functions=["F1"], config=TINY)
 
     def test_unknown_function(self):
-        plan = ExperimentPlan(algorithms=["hs"], functions=["F99"], config=TINY)
         with pytest.raises(ValueError, match="unknown function"):
-            plan.validate()
+            ExperimentPlan(algorithms=["hs"], functions=["F99"], config=TINY)
 
     def test_empty_lists(self):
         with pytest.raises(ValueError):
-            ExperimentPlan(algorithms=[], functions=["F1"], config=TINY).validate()
+            ExperimentPlan(algorithms=[], functions=["F1"], config=TINY)
 
     def test_duplicate_algorithm(self):
-        plan = ExperimentPlan(algorithms=["cddo", "cddo"], functions=["F16"], config=TINY)
         with pytest.raises(ValueError, match="duplicate algorithm cddo"):
-            plan.validate()
+            ExperimentPlan(algorithms=["cddo", "cddo"], functions=["F16"], config=TINY)
 
     def test_duplicate_function(self):
-        plan = ExperimentPlan(algorithms=["hs"], functions=["F16", "F1", "F16"], config=TINY)
         with pytest.raises(ValueError, match="duplicate function F16"):
-            plan.validate()
+            ExperimentPlan(algorithms=["hs"], functions=["F16", "F1", "F16"], config=TINY)
 
     def test_single_run_comparison(self):
         # a p-value needs two runs per sample; one algorithm needs no p-value
         one_run = RunConfig(pop_size=8, max_iters=20, n_runs=1)
-        plan = ExperimentPlan(algorithms=["cddo", "hs"], functions=["F1"], config=one_run)
         with pytest.raises(ValueError, match="at least 2 runs per cell, got 1"):
-            plan.validate()
-        ExperimentPlan(algorithms=["hs"], functions=["F1"], config=one_run).validate()
+            ExperimentPlan(algorithms=["cddo", "hs"], functions=["F1"], config=one_run)
+        ExperimentPlan(algorithms=["hs"], functions=["F1"], config=one_run)
 
     def test_empty_formats(self):
         # no format would run the whole grid and write nothing
-        plan = ExperimentPlan(algorithms=["hs"], functions=["F1"], config=TINY, formats=())
         with pytest.raises(ValueError, match="need at least one format"):
-            plan.validate()
+            ExperimentPlan(algorithms=["hs"], functions=["F1"], config=TINY, formats=())
+
+
+def test_plan_keeps_the_ids_it_checked():
+    # the plan is checked once, when it is built: neither the caller's list nor
+    # the plan's own ids can change what runs
+    algos = ["cddo", "hs"]
+    plan = ExperimentPlan(algorithms=algos, functions=["F1"], config=TINY)
+    algos.append("hs")
+    assert plan.algorithms == ("cddo", "hs")
+    with pytest.raises(AttributeError):
+        plan.algorithms.append("hs")
 
 
 class TestSeeding:
@@ -304,6 +309,14 @@ class TestCli:
             main(["rank", "--reference", reference, "--input", str(path)])
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+    def test_run_takes_a_negative_seed(self, tmp_path, capsys):
+        # each cell replaces the base seed with a non-negative cell seed
+        rc = main(["run", "--algo", "hs", "--func", "F16", "--pop", "5", "--iters", "2",
+                   "--runs", "2", "--seed", "-3", "--out", str(tmp_path), "--format", "csv"])
+        assert rc == 0
+        rows = list(csv.DictReader((tmp_path / "summary.csv").read_text().splitlines()))
+        assert [int(row["seed"]) for row in rows] == [cell_seed(-3, "hs", "F16")]
 
     def test_unknown_algo_exit_code(self, tmp_path, capsys):
         rc = main(["run", "--algo", "simulated-annealing", "--func", "F1",

@@ -3,7 +3,7 @@ import numpy as np
 from cddohs.benchmarks import make_function
 from cddohs.core import Problem, RunConfig, make_rng
 from cddohs import hs
-from cddohs.hs import HarmonyMemory, hs_run, improvise, iterate
+from cddohs.hs import HarmonyMemory, improvise, iterate
 
 
 def _problem(dim=4, lower=-1.0, upper=1.0):
@@ -76,18 +76,6 @@ class TestImprovise:
 
 
 class TestHsRun:
-    def test_deterministic(self):
-        p = make_function("F9")
-        cfg = RunConfig(pop_size=20, max_iters=100, base_seed=11)
-        a, b = hs_run(p, cfg), hs_run(p, cfg)
-        assert np.array_equal(a.trace, b.trace)
-        assert a.best_fitness == b.best_fitness
-
-    def test_eval_count_is_hms_plus_iters(self):
-        cfg = RunConfig(pop_size=25, max_iters=130, base_seed=1)
-        r = hs_run(make_function("F1"), cfg)
-        assert r.evals == 25 + 130
-
     def test_memory_monotonicity(self):
         p = make_function("F10")
         cfg = RunConfig(pop_size=15, max_iters=1, base_seed=2)
@@ -104,11 +92,6 @@ class TestHsRun:
             best = hm.f.min()
             assert worst <= prev_worst and best <= prev_best
             prev_worst, prev_best = worst, best
-
-    def test_trace_monotone(self):
-        r = hs_run(make_function("F11"), RunConfig(pop_size=10, max_iters=200, base_seed=9))
-        assert np.all(np.diff(r.trace) <= 0)
-        assert r.best_fitness == r.trace[-1]
 
     def test_default_params_match_protocol(self):
         assert (hs.HMCR, hs.PAR, hs.BW) == (0.995, 0.1, 0.04)

@@ -71,25 +71,6 @@ class TestHybridRun:
             cddo_hs_run(make_function("F1"), RunConfig(pop_size=pop, max_iters=1))
         assert sizes == [32, 8]
 
-    def test_deterministic(self):
-        p = make_function("F10")
-        cfg = RunConfig(pop_size=20, max_iters=80, base_seed=55)
-        a, b = cddo_hs_run(p, cfg), cddo_hs_run(p, cfg)
-        assert np.array_equal(a.trace, b.trace)
-        assert np.array_equal(a.best_position, b.best_position)
-        assert a.evals == b.evals
-
-    def test_trace_monotone(self):
-        r = cddo_hs_run(make_function("F9"), RunConfig(pop_size=15, max_iters=100, base_seed=8))
-        assert np.all(np.diff(r.trace) <= 0)
-
-    def test_eval_budget_includes_refresh(self):
-        cfg = RunConfig(pop_size=15, max_iters=60, base_seed=10)
-        r = cddo_hs_run(make_function("F1"), cfg)
-        # init + at most pop per iteration + one refresh per iteration
-        assert r.evals <= cfg.pop_size * (cfg.max_iters + 1) + cfg.max_iters
-        assert r.evals >= cfg.pop_size + cfg.max_iters
-
     def test_reduces_to_cddo_when_refresh_disabled(self, monkeypatch):
         # A refresh that draws nothing and never improves leaves plain CDDO
         # with an 80% pattern memory, plus one counted evaluation per iteration.
