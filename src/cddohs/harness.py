@@ -47,6 +47,9 @@ class ExperimentPlan:
                                   ("function", "functions", FUNCTION_IDS),
                                   ("format", "formats", FORMATS)):
             ids = getattr(self, name)
+            if isinstance(ids, str):
+                # a string is a sequence of one-letter ids
+                raise ValueError(f"{name} needs a list of {kind} ids, not the string {ids!r}")
             if not ids:
                 raise ValueError(f"need at least one {kind}")
             for i in ids:

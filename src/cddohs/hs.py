@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from . import core
@@ -11,6 +13,9 @@ from .core import Archive, Problem, RunConfig, RunResult, clamp, evaluate, indic
 HMCR = 0.995  # per-component probability of copying from memory
 PAR = 0.1     # pitch adjustment probability, given a memory copy
 BW = 0.04     # absolute perturbation bandwidth
+# A run draws the uniforms of at most this many iterations at once, so a long
+# run's draws stay bounded; a protocol run (500 iterations) draws once.
+BLOCK = 1000
 
 
 class HarmonyMemory(Archive):
@@ -19,27 +24,48 @@ class HarmonyMemory(Archive):
     pattern-memory replacements of CDDO and the hybrid."""
 
 
-def improvise(positions: np.ndarray, problem: Problem, rng) -> np.ndarray:
-    """Compose one new vector from the memory rows ``positions`` (m, d), from
-    one (4, d) block of uniforms.
+class Draws(NamedTuple):
+    """The choices of n improvisations, each (n, d): row t is improvisation t."""
 
-    Each component: with prob HMCR copy it from a random row (then with prob
-    PAR nudge it by uniform(-1,1)*BW), otherwise redraw uniformly in bounds.
-    The block's rows are the HMCR test, the memory row, the PAR test, and the
+    take: np.ndarray    # copy the component from memory (prob HMCR), else redraw
+    source: np.ndarray  # the memory entry it copies: row * d + column, flat in (m, d)
+    adjust: np.ndarray  # nudge the copy (prob PAR)
+    nudge: np.ndarray   # uniform(-1, 1) * BW
+    redraw: np.ndarray  # uniform in the box
+
+
+def draw(rng, n: int, m: int, problem: Problem) -> Draws:
+    """The choices of n improvisations over a memory of m rows, from one
+    (n, 4, d) block of uniforms: the same doubles as n consecutive (4, d) draws.
+
+    Block t's rows are the HMCR test, the memory row, the PAR test, and the
     nudge or the redraw (a component takes at most one of the two).
     """
     d = problem.dim
-    u = rng.random((4, d))
-    memory = positions[indices(u[1], len(positions)), np.arange(d)]
-    memory = np.where(u[2] <= PAR, memory + scale(u[3], -1.0, 1.0) * BW, memory)
-    new = np.where(u[0] <= HMCR, memory, scale(u[3], problem.lower, problem.upper))
-    return clamp(new, problem)
+    u = rng.random((n, 4, d))
+    return Draws(take=u[:, 0] <= HMCR, source=indices(u[:, 1], m) * d + np.arange(d),
+                 adjust=u[:, 2] <= PAR,
+                 nudge=scale(u[:, 3], -1.0, 1.0) * BW,
+                 redraw=scale(u[:, 3], problem.lower, problem.upper))
 
 
-def iterate(memory: Archive, problem: Problem, rng) -> tuple[bool, np.ndarray, float]:
-    """One standard HS iteration (HS's, and the hybrid's PM refresh): improvise,
-    evaluate, keep the vector if it beats the worst row; (kept, position, fitness)."""
-    position = improvise(memory.x, problem, rng)
+def improvise(positions: np.ndarray, draws: Draws, t: int, problem: Problem) -> np.ndarray:
+    """Improvisation t of ``draws`` over the memory rows ``positions`` (m, d).
+
+    Each component: with prob HMCR copy it from a random row (then with prob
+    PAR nudge it by uniform(-1,1)*BW), otherwise redraw uniformly in bounds.
+    """
+    memory = positions.take(draws.source[t])
+    memory = np.where(draws.adjust[t], memory + draws.nudge[t], memory)
+    return clamp(np.where(draws.take[t], memory, draws.redraw[t]), problem)
+
+
+def iterate(memory: Archive, problem: Problem, draws: Draws, t: int,
+            rng) -> tuple[bool, np.ndarray, float]:
+    """One standard HS iteration (HS's, and the hybrid's PM refresh): improvise
+    ``draws``' vector t, evaluate it (F7 draws its noise from rng), keep it if
+    it beats the worst row; (kept, position, fitness)."""
+    position = improvise(memory.x, draws, t, problem)
     fitness = evaluate(problem, position, rng)
     return memory.replace_worst(position, fitness), position, fitness
 
@@ -51,9 +77,17 @@ def hs_run(problem: Problem, config: RunConfig, run_index: int = 0) -> RunResult
     hm = HarmonyMemory(*core.init_population(problem, config.pop_size, rng))
     trace = np.empty(config.max_iters)
     accepts = 0
-    for t in range(config.max_iters):
-        accepts += iterate(hm, problem, rng)[0]
-        trace[t] = hm.f.min()
+    # the memory's minimum moves only when a kept vector beats it
+    best_f = hm.f.min()
+    for start in range(0, config.max_iters, BLOCK):
+        n = min(BLOCK, config.max_iters - start)
+        draws = draw(rng, n, config.pop_size, problem)
+        for t in range(n):
+            kept, _, fitness = iterate(hm, problem, draws, t, rng)
+            if kept:
+                accepts += 1
+                best_f = min(best_f, fitness)
+            trace[start + t] = best_f
     best = int(np.argmin(hm.f))
     return RunResult(
         best_fitness=float(hm.f[best]),

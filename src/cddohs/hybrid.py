@@ -3,13 +3,18 @@ population) that a Harmony-Search improvisation refreshes every iteration."""
 
 from __future__ import annotations
 
+from . import hs
 from .cddo import CddoState, _run_engine
-from .core import Problem, RunConfig, RunResult
-# The refresh is one HS iteration over the PM. ``_refresh`` looks this name up
-# at call time, so a wrapper set on ``hybrid._improvise_refresh`` sees every refresh.
-from .hs import iterate as _improvise_refresh
+from .core import Archive, Problem, RunConfig, RunResult
 
 PM_FRACTION = 0.8
+
+
+def _improvise_refresh(pm: Archive, problem: Problem, rng):
+    """One HS iteration over the PM from one improvisation's draws;
+    (kept, position, fitness). Its own name, so that a wrapper set on
+    ``hybrid._improvise_refresh`` sees every refresh."""
+    return hs.iterate(pm, problem, hs.draw(rng, 1, len(pm.f), problem), 0, rng)
 
 
 def _refresh(state: CddoState, problem: Problem, rng) -> None:

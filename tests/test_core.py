@@ -380,7 +380,7 @@ def test_f19_agents_rest(run):
 STREAM_PIN = {
     (cddo_run, "F7"): (0.0399313196333882, 131),
     (cddo_run, "F16"): (-0.977700072916351, 149),
-    (hs_run, "F7"): (2.8366209922587426, 35),
+    (hs_run, "F7"): (9.700364832860647, 35),
     (hs_run, "F16"): (-0.6451902127268643, 35),
     (cddo_hs_run, "F7"): (0.01359054071672822, 155),
     (cddo_hs_run, "F16"): (-1.0152796138004152, 178),

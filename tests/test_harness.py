@@ -58,6 +58,15 @@ class TestPlanValidation:
             ExperimentPlan(algorithms=["hs"], functions=["F1"], config=TINY, formats=())
 
 
+@pytest.mark.parametrize("field", ["algorithms", "functions", "formats"])
+def test_plan_rejects_a_string(field):
+    # one id as a bare string would be checked letter by letter
+    ids = {"algorithms": ["hs"], "functions": ["F16"], "formats": ["csv"]}
+    ids[field] = ids[field][0]
+    with pytest.raises(ValueError, match=f"^{field} needs a list of .* ids, not the string"):
+        ExperimentPlan(**ids, config=TINY)
+
+
 def test_plan_keeps_the_ids_it_checked():
     # the plan is checked once, when it is built: neither the caller's list nor
     # the plan's own ids can change what runs

@@ -1,9 +1,10 @@
 import numpy as np
+import pytest
 
 from cddohs.benchmarks import make_function
-from cddohs.core import Problem, RunConfig, make_rng
+from cddohs.core import Problem, RunConfig, init_population, make_rng
 from cddohs import hs
-from cddohs.hs import HarmonyMemory, improvise, iterate
+from cddohs.hs import HarmonyMemory, draw, hs_run, improvise, iterate
 
 
 def _problem(dim=4, lower=-1.0, upper=1.0):
@@ -15,6 +16,11 @@ def _rows(positions):
     return np.array(positions, dtype=float)
 
 
+def _improvise(rows, p, rng):
+    """One improvisation over rows from its own draws."""
+    return improvise(rows, draw(rng, 1, len(rows), p), 0, p)
+
+
 class TestImprovise:
     def test_pure_memory_consideration(self, monkeypatch):
         monkeypatch.setattr(hs, "HMCR", 1.0)
@@ -23,7 +29,7 @@ class TestImprovise:
         rows = _rows([[0.1, 0.2, 0.3], [-0.1, -0.2, -0.3]])
         rng = make_rng(1)
         for _ in range(20):
-            new = improvise(rows, p, rng)
+            new = _improvise(rows, p, rng)
             for k, v in enumerate(new):
                 assert v in {rows[0, k], rows[1, k]}
 
@@ -31,7 +37,7 @@ class TestImprovise:
         monkeypatch.setattr(hs, "HMCR", 0.0)
         p = _problem(dim=3, lower=2.0, upper=3.0)
         rows = _rows([[2.5, 2.5, 2.5]])
-        new = improvise(rows, p, make_rng(2))
+        new = _improvise(rows, p, make_rng(2))
         assert np.all((new >= 2.0) & (new <= 3.0))
         assert not np.any(new == 2.5)
 
@@ -42,7 +48,7 @@ class TestImprovise:
         rows = np.zeros((2, 5))
         rng = make_rng(3)
         for _ in range(50):
-            new = improvise(rows, p, rng)
+            new = _improvise(rows, p, rng)
             assert np.all(np.abs(new) <= 0.04)
 
     def test_result_clamped(self, monkeypatch):
@@ -52,7 +58,7 @@ class TestImprovise:
         p = _problem(dim=2, lower=0.0, upper=0.01)
         rows = _rows([[0.01, 0.01]])
         for _ in range(20):
-            new = improvise(rows, p, make_rng(4))
+            new = _improvise(rows, p, make_rng(4))
             assert np.all((new >= 0.0) & (new <= 0.01))
 
     def test_branch_probabilities(self, monkeypatch):
@@ -63,14 +69,16 @@ class TestImprovise:
         p = _problem(dim=1, lower=-1000.0, upper=1000.0)
         rows = np.zeros((1, 1))
         rng = make_rng(5)
-        n = 100_000
+        n, block = 100_000, 1000
         mem = pitch = 0
-        for _ in range(n):
-            v = improvise(rows, p, rng)[0]
-            if abs(v) <= 1e-6:
-                mem += 1
-                if v != 0.0:
-                    pitch += 1
+        for _ in range(n // block):
+            draws = draw(rng, block, 1, p)
+            for t in range(block):
+                v = improvise(rows, draws, t, p)[0]
+                if abs(v) <= 1e-6:
+                    mem += 1
+                    if v != 0.0:
+                        pitch += 1
         assert abs(mem / n - 0.9) < 0.01
         assert abs(pitch / n - 0.9 * 0.3) < 0.01
 
@@ -80,13 +88,12 @@ class TestHsRun:
         p = make_function("F10")
         cfg = RunConfig(pop_size=15, max_iters=1, base_seed=2)
         # track worst/best across HS iterations
-        from cddohs.core import init_population
         rng = make_rng(3)
         hm = HarmonyMemory(*init_population(p, 15, rng))
         prev_worst = hm.f.max()
         prev_best = hm.f.min()
         for _ in range(200):
-            kept, _, fit = iterate(hm, p, rng)
+            kept, _, fit = iterate(hm, p, draw(rng, 1, 15, p), 0, rng)
             assert kept == (fit in hm.f)
             worst = hm.f.max()
             best = hm.f.min()
@@ -95,3 +102,33 @@ class TestHsRun:
 
     def test_default_params_match_protocol(self):
         assert (hs.HMCR, hs.PAR, hs.BW) == (0.995, 0.1, 0.04)
+
+
+@pytest.mark.parametrize("func", ["F1", "F9", "F16"])
+def test_blocks_change_nothing(func, monkeypatch):
+    # A run draws BLOCK iterations at a time; a reference loop that draws one
+    # improvisation at a time, and reads the memory's best each iteration,
+    # reaches the same run bit for bit across two block boundaries.
+    p = make_function(func)
+    cfg = RunConfig(pop_size=10, max_iters=2 * hs.BLOCK + 107, base_seed=11)
+    rng = make_rng(cfg.seed_for_run(0))
+    hm = HarmonyMemory(*init_population(p, cfg.pop_size, rng))
+    trace, accepts = [], 0
+    for _ in range(cfg.max_iters):
+        accepts += iterate(hm, p, draw(rng, 1, cfg.pop_size, p), 0, rng)[0]
+        trace.append(hm.f.min())
+    best = int(np.argmin(hm.f))
+
+    sizes = []
+
+    def spy(rng, n, m, problem):
+        sizes.append(n)
+        return draw(rng, n, m, problem)
+
+    monkeypatch.setattr(hs, "draw", spy)
+    r = hs_run(p, cfg)
+    assert r.trace.tobytes() == np.array(trace).tobytes()
+    assert r.best_position.tobytes() == hm.x[best].tobytes()
+    assert r.best_fitness == hm.f[best]
+    assert r.hm_accepts == accepts
+    assert max(sizes) <= hs.BLOCK and sum(sizes) == cfg.max_iters

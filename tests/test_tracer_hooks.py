@@ -3,8 +3,8 @@
 ``bench/tracing.py`` replaces module attributes of cddohs with timed wrappers.
 A rename or a call that binds a function at import time silently leaves a
 span empty, so this runs a small grid under the tracer and checks that every
-span records calls, and that the accept counts it reads off the wrapped calls
-equal the run counters.
+span records calls, that ``hs.improvise`` records every improvisation, and
+that the accept counts it reads off the wrapped calls equal the run counters.
 """
 
 import sys
@@ -43,5 +43,8 @@ def test_every_hook_records_and_counts_accepts(tmp_path):
 
     assert {name for name in SPANS if totals.get(name, {}).get("count", 0) == 0} == set()
     assert len(results) == 3 * 3 * 2
+    # one improvisation per HS iteration and per hybrid refresh: 2 runs x 3
+    # functions x 10 iterations for each of the two, none for CDDO
+    assert totals["hs.improvise"]["count"] == 2 * 3 * 10 * 2
     assert totals["hs.replace_worst"]["accepted"] == sum(r.hm_accepts for r in results)
     assert totals["hybrid.refresh"]["accepted"] == sum(r.refresh_accepts for r in results)
