@@ -1,17 +1,18 @@
 #!/bin/sh
-# Refactor check: print seven digests that a change which should not alter
+# Refactor check: print eight digests that a change which should not alter
 # results must leave unchanged (see "Refactor check" in README.md), and compare
 # them with scripts/refactor_check.expected: on a mismatch the diff goes to
 # stderr and the exit status is 1.
 #
 #   sh scripts/refactor_check.sh
 #
-# Runs both fixed-seed grids of the README in a temporary directory and
-# prints, one per line: the digest of each grid's artifacts, of the printed
+# Runs the three fixed-seed grids of the README in a temporary directory and
+# prints, one per line: the digest of each grid's artifacts (the third grid,
+# one algorithm, writes an empty p-value table), of the first two grids' printed
 # path lists (with the output directory cut off), of `compare` on
 # summary.csv and then summary.json, of `rank --reference table6` and of
 # `list`. The artifacts print fitness with 7 significant digits, so the
-# seventh line digests full-precision results: `repr(best_fitness)` and
+# last line digests full-precision results: `repr(best_fitness)` and
 # `evals` of three short fixed-seed runs of each algorithm on F1-F19.
 set -eu
 cd "$(dirname "$0")/.."
@@ -23,10 +24,12 @@ digest() { sha256sum | cut -d' ' -f1; }
 
 cddohs run --algo all --func all --runs 4 --iters 30 --seed 2023 --out "$tmp/X" >"$tmp/paths"
 cddohs run --algo all --func F6,F11,F16 --runs 10 --iters 30 --seed 2023 --out "$tmp/Y" >>"$tmp/paths"
+cddohs run --algo hs --func F1,F7 --runs 3 --iters 20 --seed 2023 --out "$tmp/Z" >/dev/null
 
 {
 echo "artifacts X  $(cd "$tmp/X" && sha256sum * | digest)"
 echo "artifacts Y  $(cd "$tmp/Y" && sha256sum * | digest)"
+echo "artifacts Z  $(cd "$tmp/Z" && sha256sum * | digest)"
 echo "paths        $(sed "s|^$tmp/||" "$tmp/paths" | digest)"
 echo "compare      $({ cddohs compare --summary "$tmp/X/summary.csv"
                        cddohs compare --summary "$tmp/X/summary.json"; } | digest)"

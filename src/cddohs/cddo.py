@@ -125,8 +125,9 @@ def cddo_step(state: CddoState, problem: Problem, rng) -> CddoState:
     gbest, or is NaN): every kept row was built with the gbest its agent
     would have seen. At that row gbest is updated, and the candidates of the
     agents after it are rebuilt and evaluated in one more call. A stochastic
-    objective gets one row per call, because a rebuilt row must not draw its
-    noise twice. ``evals`` counts one evaluation per mover, as the loop does.
+    objective draws one noise value per row of a call, in row order, so at a
+    cut the generator is set back and the kept rows are evaluated again,
+    drawing what the loop draws. ``evals`` counts one evaluation per mover.
     """
     x, lbest_x = state.x, state.lbest_x
     u = rng.random((len(x), N_UNIFORMS))
@@ -153,10 +154,15 @@ def cddo_step(state: CddoState, problem: Problem, rng) -> CddoState:
     fit = np.empty(len(movers))
     j = 0  # movers before j have their agent-by-agent fitness
     while j < len(movers):
-        rows = movers[j:j + 1] if problem.stochastic else movers[j:]
+        rows = movers[j:]
+        if problem.stochastic:
+            before = rng.bit_generator.state
         f = core.evaluate_rows(problem, new[rows], rng)
         stop = np.flatnonzero(~(f >= state.gbest_f))
         n = stop[0] + 1 if len(stop) else len(f)  # rows kept
+        if problem.stochastic and n < len(f):
+            rng.bit_generator.state = before
+            f = core.evaluate_rows(problem, new[rows[:n]], rng)
         fit[j:j + n] = f[:n]
         j += n
         if len(stop):

@@ -65,7 +65,7 @@ class Archive:
 
     def replace_worst(self, position: np.ndarray, fitness: float) -> bool:
         """Overwrite the first worst row when ``fitness`` is strictly better."""
-        w = int(np.argmax(self.f))
+        w = int(self.f.argmax())
         if fitness < self.f[w]:
             self.x[w] = position
             self.f[w] = fitness
@@ -129,7 +129,8 @@ def indices(u: np.ndarray, n: int) -> np.ndarray:
 
 
 def clamp(position: np.ndarray, problem: Problem) -> np.ndarray:
-    return np.clip(position, problem.lower, problem.upper)
+    # the method np.clip ends in, without its Python-level dispatch; -0.0 stays -0.0
+    return position.clip(problem.lower, problem.upper)
 
 
 def nan_error(problem: Problem) -> ValueError:

@@ -10,6 +10,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -79,20 +80,37 @@ def run_cell(algo: str, func: str, config: RunConfig) -> list[RunResult]:
     return [run_fn(problem, cfg, run_index=r) for r in range(cfg.n_runs)]
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.6e}"
+_fmt = "{:.6e}".format  # a fitness or p-value cell
 
 
-def _write(path: Path, header: list[str], rows):
-    """Write one table atomically: CSV lines, or a JSON list of dicts, by suffix."""
-    if path.suffix == ".csv":
-        text = "\n".join([",".join(map(str, row)) for row in [header, *rows]]) + "\n"
-    else:
-        payload = [dict(zip(header, row)) for row in rows]
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+def _json_cells(column, text: list[str]) -> list[str]:
+    """A column's cells as JSON values: an int column is its str() text, others are encoded."""
+    kinds = set(map(type, column))
+    return text if kinds == {int} else list(
+        map(encode_basestring_ascii if kinds == {str} else json.dumps, column))
+
+
+def _write(out: Path, name: str, formats, header: list[str], columns) -> list[Path]:
+    """Write one table, its columns in header order, atomically as out/name.<format> for
+    each of ``formats``; the paths, in that order. The JSON is byte for byte json.dumps of
+    the rows as dicts (indent=2, sort_keys=True), filled from one row template with each
+    cell encoded once: json.dumps encodes in pure Python, token by token, when indented."""
+    text = [list(map(str, column)) for column in columns]
+    paths = []
+    for fmt in formats:
+        if fmt == "csv":
+            body = "\n".join([",".join(header), *map(",".join, zip(*text))]) + "\n"
+        else:
+            cols = sorted(zip(header, columns, text), key=lambda col: col[0])
+            template = "\n  {\n%s\n  }" % ",\n".join(
+                "    %s: %%s" % encode_basestring_ascii(key).replace("%", "%%") for key, _, _ in cols)
+            items = ",".join(map(template.__mod__, zip(*[_json_cells(c, t) for _, c, t in cols])))
+            body = f"[{items}\n]\n" if items else "[]\n"
+        paths.append(out / f"{name}.{fmt}")
+        tmp = out / f"{name}.{fmt}.tmp"
+        tmp.write_text(body)
+        os.replace(tmp, paths[-1])
+    return paths
 
 
 def run_experiment(plan: ExperimentPlan) -> dict:
@@ -105,6 +123,7 @@ def run_experiment(plan: ExperimentPlan) -> dict:
 
     algos = sorted(plan.algorithms)
     funcs = [f for f in FUNCTION_IDS if f in plan.functions]
+    formats = [f for f in FORMATS if f in plan.formats]
     cells = {(a, f): run_cell(a, f, plan.config) for a in algos for f in funcs}
     finals = {cell: [r.best_fitness for r in results] for cell, results in cells.items()}
     summary_rows = []
@@ -115,19 +134,16 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     pvalue_rows = [[f, a, b, _fmt(wilcoxon_rank_sum(finals[a, f], finals[b, f]))]
                    for f in funcs for a, b in itertools.combinations(algos, 2)]
 
-    # CSV before JSON; convergence rows are built one cell at a time
-    paths: list[Path] = []
-    for fmt in [f for f in FORMATS if f in plan.formats]:
-        tables = {"summary": (SUMMARY_HEADER, summary_rows),
-                  "pvalues": (PVALUES_HEADER, pvalue_rows)}
-        for (algo, func), results in cells.items():
-            rows = ([r, t, _fmt(g)] for r, res in enumerate(results)
-                    for t, g in enumerate(res.trace.tolist()))
-            tables[f"convergence_{algo}_{func}"] = (CONVERGENCE_HEADER, rows)
-        for name, (header, rows) in tables.items():
-            paths.append(out / f"{name}.{fmt}")
-            _write(paths[-1], header, rows)
-    return {"paths": [str(p) for p in paths]}
+    written = [_write(out, "summary", formats, SUMMARY_HEADER, list(zip(*summary_rows))),
+               _write(out, "pvalues", formats, PVALUES_HEADER, list(zip(*pvalue_rows)))]
+    for (algo, func), results in cells.items():  # one cell's columns at a time
+        traces = [res.trace.tolist() for res in results]
+        columns = [[r for r, trace in enumerate(traces) for _ in trace],
+                   [t for trace in traces for t in range(len(trace))],
+                   [g for trace in traces for g in map(_fmt, trace)]]
+        written.append(_write(out, f"convergence_{algo}_{func}", formats,
+                              CONVERGENCE_HEADER, columns))
+    return {"paths": [str(p) for per_format in zip(*written) for p in per_format]}
 
 
 def _rows(path, *columns: str) -> list[dict]:

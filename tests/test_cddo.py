@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -287,6 +288,35 @@ class TestCddoStep:
             reference_step(ref, p, ref_rng)
         _assert_same(state, ref)
         assert state.refresh_accepts > 0
+
+    def test_stochastic_batch_is_one_call_until_a_cut(self):
+        # F7 draws noise per row: a batch cut at a gbest improvement is set
+        # back and its kept rows evaluated again, so each improvement costs at
+        # most two more calls (that one and the rebuilt rows' batch)
+        f7 = make_function("F7")
+        calls, values = [], []
+
+        def counted(x, rng):
+            calls.append(len(x))
+            return f7.objective(x, rng)
+
+        def recorded(x, rng):
+            values.append(f7.objective(x, rng))
+            return values[-1]
+
+        state = init_state(f7, RunConfig(pop_size=40, base_seed=35), 8, make_rng(35))
+        ref, best = _copy(state), state.gbest_f
+        rng, ref_rng = make_rng(36), make_rng(36)
+        cddo_step(state, dataclasses.replace(f7, objective=counted), rng)
+        reference_step(ref, dataclasses.replace(f7, objective=recorded), ref_rng)
+        _assert_same(state, ref)
+        assert rng.random() == ref_rng.random()
+        improvements = 0
+        for v in values:  # the loop's one-point values, in agent order
+            if v < best:
+                best, improvements = v, improvements + 1
+        assert improvements >= 1 and len(calls) > 1  # a batch was cut
+        assert len(calls) <= 1 + 2 * improvements
 
     # Agent 0 moves to (0.5, -0.25) and improves gbest; agent 1's skill move
     # must then pull toward that point, not toward the old gbest.

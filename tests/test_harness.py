@@ -8,7 +8,7 @@ import pytest
 from cddohs.cli import main
 from cddohs.core import RunConfig
 from cddohs.harness import (
-    ALGORITHMS, ExperimentPlan, cell_seed, compare_to_reference, load_summary,
+    ALGORITHMS, ExperimentPlan, _write, cell_seed, compare_to_reference, load_summary,
     run_cell, run_experiment,
 )
 
@@ -157,6 +157,28 @@ class TestArtifacts:
         _, result = tiny_outputs
         suffixes = [Path(p).suffix for p in result["paths"]]
         assert suffixes == [".csv"] * 8 + [".json"] * 8
+
+
+# a header out of sorted order (and with a "%"), str cells that JSON escapes,
+# int cells, and one float among a column's strs (encoded cell by cell)
+WRITER_HEADER = ["run", "note", "share%", "iter"]
+WRITER_ROWS = [[0, 'say "hi"', "1.000000e+00", 12],
+               [1, "back\\slash", 0.25, 3],
+               [10, "naïve ∑", "-3.500000e-07", 0]]
+
+
+@pytest.mark.parametrize("rows", [WRITER_ROWS, []], ids=["rows", "empty"])
+def test_writer_matches_json_dumps(tmp_path, rows):
+    # as run_experiment passes its rows: an empty table has no columns
+    paths = _write(tmp_path, "t", ["csv", "json"], WRITER_HEADER, list(zip(*rows)))
+    assert paths == [tmp_path / "t.csv", tmp_path / "t.json"]
+    csv_text = "\n".join([",".join(map(str, row)) for row in [WRITER_HEADER, *rows]]) + "\n"
+    json_text = json.dumps([dict(zip(WRITER_HEADER, row)) for row in rows],
+                           indent=2, sort_keys=True) + "\n"
+    assert paths[0].read_text() == csv_text
+    assert paths[1].read_text() == json_text
+    if not rows:
+        assert (csv_text, json_text) == ("run,note,share%,iter\n", "[]\n")
 
 
 class TestCompare:
