@@ -15,6 +15,8 @@
 # last line digests full-precision results: `repr(best_fitness)` and
 # `evals` of three short fixed-seed runs of each algorithm on F1-F19.
 set -eu
+# file globs sort by the locale's collation under some shells (bash); pin it
+export LC_ALL=C
 cd "$(dirname "$0")/.."
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT

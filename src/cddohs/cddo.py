@@ -141,20 +141,16 @@ def cddo_step(state: CddoState, problem: Problem, rng) -> CddoState:
     sr_c = scale(u[c, U_SR, None], *SR_LR_LOW)
     entries = state.pm.x[indices(u[c, U_LR_PM], len(state.pm.f))]
     new = np.empty_like(x)  # the candidates; rows that rest stay unset
-
-    def build(first: int):
-        """The candidates of the movers from agent ``first`` on, for the current gbest."""
-        a, b = np.searchsorted(s, first), np.searchsorted(c, first)
-        new[s[a:]] = skill_update(x[s[a:]], lbest_x[s[a:]], state.gbest_x,
-                                  gr[s[a:], None], sr_s[a:], lr_s[a:], problem)
-        new[c[b:]] = creativity_update(entries[b:], state.gbest_x, sr_c[b:], problem)
-
-    build(0)
     movers = np.flatnonzero(skill | creative)
     fit = np.empty(len(movers))
     j = 0  # movers before j have their agent-by-agent fitness
     while j < len(movers):
         rows = movers[j:]
+        # the candidates of the movers from rows[0] on, for the current gbest
+        a, b = np.searchsorted(s, rows[0]), np.searchsorted(c, rows[0])
+        new[s[a:]] = skill_update(x[s[a:]], lbest_x[s[a:]], state.gbest_x,
+                                  gr[s[a:], None], sr_s[a:], lr_s[a:], problem)
+        new[c[b:]] = creativity_update(entries[b:], state.gbest_x, sr_c[b:], problem)
         if problem.stochastic:
             before = rng.bit_generator.state
         f = core.evaluate_rows(problem, new[rows], rng)
@@ -170,7 +166,6 @@ def cddo_step(state: CddoState, problem: Problem, rng) -> CddoState:
             if math.isnan(f_i):
                 raise core.nan_error(problem)
             state.gbest_x, state.gbest_f = new[i].copy(), f_i
-            build(i + 1)
 
     moved = new[movers]
     x[movers] = moved

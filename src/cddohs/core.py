@@ -14,10 +14,11 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def check_count(owner: str, name: str, value) -> None:
-    """The count rule: an integer >= 1 (numpy integers pass, bool does not)."""
+def check_count(owner: str, name: str, value) -> int:
+    """The count rule: an integer >= 1 (numpy integers pass, bool does not), as an int."""
     if not (_is_int(value) and value >= 1):
         raise ValueError(f"{owner}: {name} must be an integer >= 1, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,7 @@ class Problem:
     stochastic: bool = False
 
     def __post_init__(self):
-        check_count(f"problem {self.id}", "dim", self.dim)
+        object.__setattr__(self, "dim", check_count(f"problem {self.id}", "dim", self.dim))
         if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
             raise ValueError(f"need finite bounds, got [{self.lower}, {self.upper}]")
         if not self.lower < self.upper:
@@ -84,9 +85,10 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("pop_size", "max_iters", "n_runs"):
-            check_count("run config", name, getattr(self, name))
+            object.__setattr__(self, name, check_count("run config", name, getattr(self, name)))
         if not _is_int(self.base_seed):
             raise ValueError(f"run config: base_seed must be an integer, got {self.base_seed}")
+        object.__setattr__(self, "base_seed", int(self.base_seed))
 
     def seed_for_run(self, run_index: int) -> int:
         """base_seed + run_index, an integer >= 0 (cells replace a negative base seed)."""

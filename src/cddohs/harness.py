@@ -84,10 +84,9 @@ _fmt = "{:.6e}".format  # a fitness or p-value cell
 
 
 def _json_cells(column, text: list[str]) -> list[str]:
-    """A column's cells as JSON values: an int column is its str() text, others are encoded."""
-    kinds = set(map(type, column))
-    return text if kinds == {int} else list(
-        map(encode_basestring_ascii if kinds == {str} else json.dumps, column))
+    """A column's cells as JSON values, by its first cell: an int column is its
+    str() text, a str column is encoded."""
+    return list(map(encode_basestring_ascii, column)) if isinstance(column[0], str) else text
 
 
 def _write(out: Path, name: str, formats, header: list[str], columns) -> list[Path]:

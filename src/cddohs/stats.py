@@ -89,12 +89,6 @@ class RankTable:
     placements: dict  # func id -> {algo: placement (1 = best)}
     scores: dict      # algo -> mean placement, lower is better
 
-    def best_algorithm(self) -> str:
-        return min(self.scores, key=self.scores.get)
-
-    def worst_algorithm(self) -> str:
-        return max(self.scores, key=self.scores.get)
-
 
 def rank_algorithms(results: dict) -> RankTable:
     """Rank algorithms per function by average fitness (ascending).

@@ -28,10 +28,6 @@ class TestProblem:
             with pytest.raises(ValueError):
                 Problem(id="bad", dim=2, lower=lower, upper=upper, objective=lambda x: 0.0)
 
-    def test_rejects_zero_dim(self):
-        with pytest.raises(ValueError):
-            Problem(id="bad", dim=0, lower=0.0, upper=1.0, objective=lambda x: 0.0)
-
 
 class TestRunConfig:
     def test_defaults_match_protocol(self):
@@ -43,23 +39,19 @@ class TestRunConfig:
         assert cfg.seed_for_run(0) == 100
         assert cfg.seed_for_run(7) == 107
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            RunConfig(pop_size=0)
-
 
 class TestCountRule:
     """dim, pop_size, max_iters and n_runs are integers >= 1: numpy integers
     pass, floats and bools fail with an error naming the owner and the field."""
 
-    @pytest.mark.parametrize("dim", [2.5, True])
+    @pytest.mark.parametrize("dim", [0, 2.5, True])
     def test_problem_dim(self, dim):
         with pytest.raises(ValueError,
                            match=f"^problem bad: dim must be an integer >= 1, got {dim}$"):
             Problem(id="bad", dim=dim, lower=0.0, upper=1.0, objective=lambda x: 0.0)
 
-    @pytest.mark.parametrize("name, value", [("pop_size", 8.5), ("max_iters", True),
-                                             ("n_runs", 3.0)])
+    @pytest.mark.parametrize("name, value", [("pop_size", 0), ("pop_size", 8.5),
+                                             ("max_iters", True), ("n_runs", 3.0)])
     def test_run_config_counts(self, name, value):
         with pytest.raises(ValueError,
                            match=f"^run config: {name} must be an integer >= 1, got {value}$"):
@@ -67,8 +59,12 @@ class TestCountRule:
 
     @pytest.mark.parametrize("run", [cddo_run, hs_run, cddo_hs_run])
     def test_numpy_integers_pass(self, run):
+        # and are stored as Python ints, so no numpy integer reaches a seed or an artifact
         p = _toy(dim=np.int64(2))
-        cfg = RunConfig(pop_size=np.int64(5), max_iters=np.int32(3), n_runs=np.int64(2))
+        cfg = RunConfig(pop_size=np.int64(5), max_iters=np.int32(3), n_runs=np.int64(2),
+                        base_seed=np.int64(5))
+        stored = [p.dim, cfg.pop_size, cfg.max_iters, cfg.n_runs, cfg.base_seed]
+        assert [type(v) for v in stored] == [int] * 5 and stored == [2, 5, 3, 2, 5]
         assert run(p, cfg).trace.shape == (3,)
 
 
