@@ -1,5 +1,5 @@
 #!/bin/sh
-# Refactor check: print eight digests that a change which should not alter
+# Refactor check: print nine digests that a change which should not alter
 # results must leave unchanged (see "Refactor check" in README.md), and compare
 # them with scripts/refactor_check.expected: on a mismatch the diff goes to
 # stderr and the exit status is 1.
@@ -12,8 +12,11 @@
 # path lists (with the output directory cut off), of `compare` on
 # summary.csv and then summary.json, of `rank --reference table6` and of
 # `list`. The artifacts print fitness with 7 significant digits, so the
-# last line digests full-precision results: `repr(best_fitness)` and
-# `evals` of three short fixed-seed runs of each algorithm on F1-F19.
+# last two lines digest full-precision results: `repr(best_fitness)` and
+# `evals` of three short fixed-seed runs of each algorithm on F1-F19 (`runs`),
+# and of run 0 of each algorithm on every function but F7 at 207 iterations,
+# two of CDDO's blocks of draws (cddo.BLOCK) and 7 more (`long`). F7 is left
+# out there: its noise follows each block's uniforms, so it moves with BLOCK.
 set -eu
 # file globs sort by the locale's collation under some shells (bash); pin it
 export LC_ALL=C
@@ -47,6 +50,17 @@ for algo, run in ALGORITHMS.items():
         for r in range(3):
             result = run(make_function(func), config, r)
             print(algo, func, r, repr(result.best_fitness), result.evals)
+' | digest)"
+echo "long         $(PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 -c '
+from cddohs.benchmarks import FUNCTION_IDS, make_function
+from cddohs.core import RunConfig
+from cddohs.harness import ALGORITHMS
+config = RunConfig(pop_size=10, max_iters=207, base_seed=2023)
+for algo, run in ALGORITHMS.items():
+    for func in FUNCTION_IDS:
+        if func != "F7":
+            result = run(make_function(func), config, 0)
+            print(algo, func, repr(result.best_fitness), result.evals)
 ' | digest)"
 } >"$tmp/lines"
 

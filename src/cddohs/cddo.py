@@ -6,25 +6,27 @@ ratio), takes the creativity branch (rebuilt from a random pattern-memory
 elite) when its golden ratio is near phi, or stays put. An elite archive
 (the pattern memory) is refreshed with the global best every iteration.
 
-One iteration is array work over the population: a single (P, 8) block of
-uniforms gives every agent its hand pressures, golden ratio, branch, rates
-and pattern-memory pick, and one objective call evaluates the moving
-agents' candidates. The result is that of the original agent-by-agent method
-(Abdulhameed & Rashid 2022), which evaluates the agents one at a time, in
-agent order, with the global best updated after each: an agent that improves
-the global best ends the batch, and the candidates after it are rebuilt with
-the new global best and evaluated in one more call.
+A run draws a (P, 8) block of uniforms per iteration (after the hybrid refresh's),
+BLOCK iterations in one call, and takes every agent's choices from them once per
+block. One iteration gathers hand pressures and golden ratios from the positions;
+each mover's candidate is clamp(A + B (gbest - X)), (A, B, X) = (gr x + sr (lbest
+- x), lr, x) in the skill branch and (entry, sr, 0) in the creativity branch, and
+one objective call evaluates them. The result is that of the original
+agent-by-agent method (Abdulhameed & Rashid 2022), which evaluates the agents one
+at a time, in agent order, with the global best updated after each: an agent that
+improves the global best ends the batch, and the candidates after it are rebuilt
+with the new global best and evaluated in one more call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from . import core
+from . import core, hs
 from .core import Archive, Problem, RunConfig, RunResult, clamp, indices, make_rng, scale
 
 # The paper's protocol: fixed, not settable.
@@ -35,12 +37,12 @@ PM_FRACTION = 0.2   # pattern memory holds ceil(PM_FRACTION * pop_size) elites
 SR_LR_HIGH = (0.6, 1.0)
 SR_LR_LOW = (0.0, 0.5)
 
-
-# Columns of the (P, 8) block of uniforms that one iteration draws, one row
-# per agent: RHP, the HP component, two (M, N) golden-ratio index pairs, SR,
-# and LR (skill branch) or the pattern-memory pick (creativity branch).
+# Columns of the (P, 8) block of uniforms of one iteration, one row per agent:
+# RHP, the HP component, two (M, N) golden-ratio index pairs, SR, and LR
+# (skill branch) or the pattern-memory pick (creativity branch).
 U_RHP, U_HP, U_GR, U_SR, U_LR_PM = 0, 1, slice(2, 6), 6, 7
 N_UNIFORMS = 8
+BLOCK = 100  # iterations drawn at once, so a long run's draws stay small
 
 
 @dataclass
@@ -60,52 +62,69 @@ class CddoState:
     refresh_accepts: int = 0
 
 
-def hand_pressures(x: np.ndarray, u: np.ndarray, problem: Problem) -> tuple[np.ndarray, np.ndarray]:
-    """(HP, RHP) per agent from its row of the iteration's block u: HP a
-    uniformly chosen component of its position (row of x), RHP a uniform draw
-    within the problem's bounds."""
-    hp = x[np.arange(len(x)), indices(u[:, U_HP], x.shape[1])]
-    return hp, scale(u[:, U_RHP], problem.lower, problem.upper)
+class Draws(NamedTuple):
+    """The choices of n iterations, each (n, P, ...): row t is iteration t.
+    Indices into the positions are flat, into x.ravel() of x (P, d)."""
+
+    rhp: np.ndarray          # RHP, uniform in the box
+    hp: np.ndarray           # the HP component
+    mn: np.ndarray           # (n, P, 4): M, M, N, N of two golden-ratio draws
+    sr_skill: np.ndarray     # (n, P, 1), as lr and sr_creative
+    lr: np.ndarray
+    sr_creative: np.ndarray
+    pick: np.ndarray         # the pattern-memory row of the creativity branch
 
 
-def golden_ratio(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """(x[M] + x[N]) / x[M] per row of x (P, d >= 2), for distinct indices M != N.
-
-    Each row of u (P, 4) holds two (M, N) draws. A zero denominator in the
-    first is retried with the second; if that is zero too, the ratio is phi,
-    so the agent falls into the creativity branch rather than dividing by zero.
-    A ratio that overflows is phi as well: an infinite gr would make the skill
-    move inf * 0 or inf - inf, a NaN position.
-    """
-    p, d = x.shape
-    r = np.arange(p)
-    m = indices(u[:, 0::2], d)      # (P, 2): M of each draw
-    n = indices(u[:, 1::2], d - 1)  # N != M, drawn from the other d - 1
+def choices(u: np.ndarray, pm_size: int, problem: Problem) -> Draws:
+    """The choices of n iterations from their uniforms u (n, P, 8), for a
+    pattern memory of pm_size rows. Each golden-ratio draw takes M uniformly
+    of the d components and N != M uniformly of the other d - 1."""
+    d = problem.dim
+    row = np.arange(u.shape[1]) * d  # where each agent's position starts in x.ravel()
+    mn = u[..., U_GR]  # M, N, M, N
+    m = indices(mn[..., 0::2], d)
+    n = indices(mn[..., 1::2], d - 1)
     n += n >= m
-    k = (x[r, m[:, 0]] == 0.0).astype(np.intp)  # the second draw where the first has x[M] == 0
-    den = x[r, m[r, k]]
-    gr = np.divide(den + x[r, n[r, k]], den, out=np.full(p, PHI), where=den != 0.0)
+    return Draws(rhp=scale(u[..., U_RHP], problem.lower, problem.upper),
+                 hp=indices(u[..., U_HP], d) + row,
+                 mn=np.concatenate([m, n], axis=-1) + row[:, None],
+                 sr_skill=scale(u[..., U_SR, None], *SR_LR_HIGH),
+                 lr=scale(u[..., U_LR_PM, None], *SR_LR_HIGH),
+                 sr_creative=scale(u[..., U_SR, None], *SR_LR_LOW),
+                 pick=indices(u[..., U_LR_PM], pm_size))
+
+
+def golden_ratio(xm: np.ndarray, xn: np.ndarray) -> np.ndarray:
+    """(x[M] + x[N]) / x[M] per agent, from its two draws' x[M] and x[N] (P, 2).
+
+    A zero denominator in the first draw is retried with the second; if that
+    is zero too, the ratio is phi, so the agent falls into the creativity
+    branch rather than dividing by zero. A ratio that overflows is phi as
+    well: an infinite gr would make the skill move inf * 0 or inf - inf, a
+    NaN position.
+    """
+    second = xm[:, 0] == 0.0
+    den = np.where(second, xm[:, 1], xm[:, 0])
+    gr = np.divide(den + np.where(second, xn[:, 1], xn[:, 0]), den,
+                   out=np.full(len(den), PHI), where=den != 0.0)
     gr[np.isinf(gr)] = PHI
     return gr
 
 
-def skill_update(x: np.ndarray, lbest: np.ndarray, gbest: np.ndarray,
-                 gr, sr, lr, problem: Problem) -> np.ndarray:
-    """Skill-branch move: position scaled by gr plus pulls toward both bests.
+def skill_update(x: np.ndarray, lbest: np.ndarray, gr, sr, lr):
+    """Skill-branch move as (A, B, X): gr * x + sr * (lbest - x) + lr * (gbest - x).
 
     gr scales the current position (a dimensionless ratio applied to the
     drawing) rather than being added to it; the additive reading cannot
     contract and demonstrably stalls far above the published optima. Rows of
     x and lbest move together, with gr, sr and lr as (n, 1) columns.
     """
-    new = gr * x + sr * (lbest - x) + lr * (gbest - x)
-    return clamp(new, problem)
+    return gr * x + sr * (lbest - x), lr, x
 
 
-def creativity_update(pm_entry: np.ndarray, gbest: np.ndarray, sr,
-                      problem: Problem) -> np.ndarray:
-    """Creativity-branch move: a pattern-memory elite shifted by sr * gbest."""
-    return clamp(pm_entry + sr * gbest, problem)
+def creativity_update(pm_entry: np.ndarray, sr):
+    """Creativity-branch move as (A, B, X): a pattern-memory elite plus sr * gbest."""
+    return pm_entry, sr, 0.0
 
 
 def init_state(problem: Problem, config: RunConfig, pm_size: int, rng) -> CddoState:
@@ -115,63 +134,62 @@ def init_state(problem: Problem, config: RunConfig, pm_size: int, rng) -> CddoSt
     return CddoState(x, x.copy(), f.copy(), x[g].copy(), float(f[g]), pm, evals=config.pop_size)
 
 
-def cddo_step(state: CddoState, problem: Problem, rng) -> CddoState:
-    """One iteration over all agents; mutates and returns state.
+def cddo_step(state: CddoState, problem: Problem, draws: Draws, t: int, rng) -> CddoState:
+    """Iteration t of ``draws`` over all agents; mutates and returns state.
 
-    Branches and moves are computed for all agents at once from one block of
-    uniforms, and the movers' candidates are evaluated in one call. In the
-    agent-by-agent loop each agent sees the gbest of the agents before it, so
-    the rows are kept up to the first one that is not >= gbest (it improves
-    gbest, or is NaN): every kept row was built with the gbest its agent
-    would have seen. At that row gbest is updated, and the candidates of the
-    agents after it are rebuilt and evaluated in one more call. A stochastic
-    objective draws one noise value per row of a call, in row order, so at a
-    cut the generator is set back and the kept rows are evaluated again,
-    drawing what the loop draws. ``evals`` counts one evaluation per mover.
+    Branches and moves are computed for all agents at once, and the movers'
+    candidates are evaluated in one call. In the agent-by-agent loop each
+    agent sees the gbest of the agents before it, so the rows are kept up to
+    the first one that is not >= gbest (it improves gbest, or is NaN): every
+    kept row was built with the gbest its agent would have seen. At that row
+    gbest is updated, and the candidates of the agents after it are rebuilt
+    and evaluated in one more call. A stochastic objective draws one noise
+    value per row of a call, in row order, so at a cut the generator is set
+    back and the kept rows are evaluated again, drawing what the loop draws.
+    ``evals`` counts one evaluation per mover.
     """
     x, lbest_x = state.x, state.lbest_x
-    u = rng.random((len(x), N_UNIFORMS))
-    hp, rhp = hand_pressures(x, u, problem)
-    gr = golden_ratio(x, u[:, U_GR])
-    skill = hp < rhp
+    flat = x.ravel()
+    skill = flat.take(draws.hp[t]) < draws.rhp[t]
+    xmn = flat.take(draws.mn[t])
+    gr = golden_ratio(xmn[:, :2], xmn[:, 2:])
     creative = ~skill & (np.abs(gr - PHI) <= GR_TOLERANCE)
-    s, c = np.flatnonzero(skill), np.flatnonzero(creative)
-    sr_s = scale(u[s, U_SR, None], *SR_LR_HIGH)
-    lr_s = scale(u[s, U_LR_PM, None], *SR_LR_HIGH)
-    sr_c = scale(u[c, U_SR, None], *SR_LR_LOW)
-    entries = state.pm.x[indices(u[c, U_LR_PM], len(state.pm.f))]
-    new = np.empty_like(x)  # the candidates; rows that rest stay unset
-    movers = np.flatnonzero(skill | creative)
+    s, c = skill.nonzero()[0], creative.nonzero()[0]
+    movers = (skill | creative).nonzero()[0]
+    # (A, B, X) of each agent's move, a resting agent's row unset; take() is
+    # the gather without fancy indexing's cost per call
+    a, b, z = np.empty_like(x), np.empty((len(x), 1)), np.empty_like(x)
+    a[s], b[s], z[s] = skill_update(x.take(s, 0), lbest_x.take(s, 0), gr.take(s)[:, None],
+                                    draws.sr_skill[t].take(s, 0), draws.lr[t].take(s, 0))
+    a[c], b[c], z[c] = creativity_update(state.pm.x.take(draws.pick[t].take(c), 0),
+                                         draws.sr_creative[t].take(c, 0))
+    a, b, z = a.take(movers, 0), b.take(movers, 0), z.take(movers, 0)
+    new = np.empty_like(a)  # the movers' candidates, in agent order
     fit = np.empty(len(movers))
-    j = 0  # movers before j have their agent-by-agent fitness
+    j = 0  # movers before j have their agent-by-agent candidate and fitness
     while j < len(movers):
-        rows = movers[j:]
-        # the candidates of the movers from rows[0] on, for the current gbest
-        a, b = np.searchsorted(s, rows[0]), np.searchsorted(c, rows[0])
-        new[s[a:]] = skill_update(x[s[a:]], lbest_x[s[a:]], state.gbest_x,
-                                  gr[s[a:], None], sr_s[a:], lr_s[a:], problem)
-        new[c[b:]] = creativity_update(entries[b:], state.gbest_x, sr_c[b:], problem)
+        new[j:] = clamp(a[j:] + b[j:] * (state.gbest_x - z[j:]), problem)
         if problem.stochastic:
             before = rng.bit_generator.state
-        f = core.evaluate_rows(problem, new[rows], rng)
-        stop = np.flatnonzero(~(f >= state.gbest_f))
+        f = core.evaluate_rows(problem, new[j:], rng)
+        stop = (~(f >= state.gbest_f)).nonzero()[0]
         n = stop[0] + 1 if len(stop) else len(f)  # rows kept
         if problem.stochastic and n < len(f):
             rng.bit_generator.state = before
-            f = core.evaluate_rows(problem, new[rows[:n]], rng)
+            f = core.evaluate_rows(problem, new[j:j + n], rng)
         fit[j:j + n] = f[:n]
         j += n
         if len(stop):
-            i, f_i = rows[n - 1], float(f[n - 1])
+            f_i = float(f[n - 1])
             if math.isnan(f_i):
                 raise core.nan_error(problem)
-            state.gbest_x, state.gbest_f = new[i].copy(), f_i
+            state.gbest_x, state.gbest_f = new[j - 1].copy(), f_i
 
-    moved = new[movers]
-    x[movers] = moved
-    better = fit < state.lbest_f[movers]
-    lbest_x[movers[better]] = moved[better]
-    state.lbest_f[movers[better]] = fit[better]
+    x[movers] = new
+    better = fit < state.lbest_f.take(movers)
+    kept = movers[better]
+    lbest_x[kept] = new[better]
+    state.lbest_f[kept] = fit[better]
     state.evals += len(movers)
     state.skill += len(s)
     state.creativity += len(c)
@@ -183,18 +201,27 @@ def cddo_step(state: CddoState, problem: Problem, rng) -> CddoState:
 def _run_engine(problem: Problem, config: RunConfig, pm_fraction: float,
                 run_index: int, refresh: Optional[Callable] = None) -> RunResult:
     """Shared driver for CDDO and the hybrid (the hybrid passes its larger
-    pattern-memory fraction and a refresh hook); run r uses seed base_seed + r."""
+    pattern-memory fraction and an HS refresh, whose (4, d) block of uniforms
+    precedes the step's in each iteration's row); run r uses seed base_seed + r."""
     if problem.dim < 2:
         raise ValueError("CDDO needs dim >= 2 (golden ratio uses two distinct components)")
     seed = config.seed_for_run(run_index)
     rng = make_rng(seed)
-    state = init_state(problem, config, math.ceil(pm_fraction * config.pop_size), rng)
+    pop, pm_size = config.pop_size, math.ceil(pm_fraction * config.pop_size)
+    state = init_state(problem, config, pm_size, rng)
+    w = 4 * problem.dim if refresh is not None else 0  # the refresh's uniforms
     trace = np.empty(config.max_iters)
-    for t in range(config.max_iters):
+    for start in range(0, config.max_iters, BLOCK):
+        k = min(BLOCK, config.max_iters - start)
+        u = rng.random((k, w + N_UNIFORMS * pop))
+        steps = choices(u[:, w:].reshape(k, pop, N_UNIFORMS), pm_size, problem)
         if refresh is not None:
-            refresh(state, problem, rng)
-        cddo_step(state, problem, rng)
-        trace[t] = state.gbest_f
+            improvisations = hs.choices(u[:, :w].reshape(k, 4, problem.dim), pm_size, problem)
+        for t in range(k):
+            if refresh is not None:
+                refresh(state, problem, improvisations, t, rng)
+            cddo_step(state, problem, steps, t, rng)
+            trace[start + t] = state.gbest_f
     return RunResult(
         best_fitness=state.gbest_f,
         best_position=state.gbest_x.copy(),

@@ -91,11 +91,11 @@ class RunConfig:
         object.__setattr__(self, "base_seed", int(self.base_seed))
 
     def seed_for_run(self, run_index: int) -> int:
-        """base_seed + run_index, an integer >= 0 (cells replace a negative base seed)."""
+        """base_seed + run_index, an int >= 0 (cells replace a negative base seed)."""
         seed = self.base_seed + run_index
         if not _is_int(run_index) or seed < 0:
             raise ValueError(f"run {run_index}: seed {seed} is not an integer >= 0")
-        return seed
+        return int(seed)
 
 
 @dataclass

@@ -35,14 +35,16 @@ class Draws(NamedTuple):
 
 
 def draw(rng, n: int, m: int, problem: Problem) -> Draws:
-    """The choices of n improvisations over a memory of m rows, from one
-    (n, 4, d) block of uniforms: the same doubles as n consecutive (4, d) draws.
+    """:func:`choices` of one (n, 4, d) block of uniforms: the same doubles as
+    n consecutive (4, d) draws."""
+    return choices(rng.random((n, 4, problem.dim)), m, problem)
 
-    Block t's rows are the HMCR test, the memory row, the PAR test, and the
-    nudge or the redraw (a component takes at most one of the two).
-    """
+
+def choices(u: np.ndarray, m: int, problem: Problem) -> Draws:
+    """The choices of n improvisations over a memory of m rows from their
+    uniforms u (n, 4, d). Block t's rows are the HMCR test, the memory row, the
+    PAR test, and the nudge or the redraw (a component takes at most one of them)."""
     d = problem.dim
-    u = rng.random((n, 4, d))
     return Draws(take=u[:, 0] <= HMCR, source=indices(u[:, 1], m) * d + np.arange(d),
                  adjust=u[:, 2] <= PAR,
                  nudge=scale(u[:, 3], -1.0, 1.0) * BW,

@@ -10,17 +10,17 @@ from .core import Archive, Problem, RunConfig, RunResult
 PM_FRACTION = 0.8
 
 
-def _improvise_refresh(pm: Archive, problem: Problem, rng):
-    """One HS iteration over the PM from one improvisation's draws;
+def _improvise_refresh(pm: Archive, problem: Problem, draws: hs.Draws, t: int, rng):
+    """One HS iteration over the PM from improvisation t of ``draws``;
     (kept, position, fitness). Its own name, so that a wrapper set on
     ``hybrid._improvise_refresh`` sees every refresh."""
-    return hs.iterate(pm, problem, hs.draw(rng, 1, len(pm.f), problem), 0, rng)
+    return hs.iterate(pm, problem, draws, t, rng)
 
 
-def _refresh(state: CddoState, problem: Problem, rng) -> None:
+def _refresh(state: CddoState, problem: Problem, draws: hs.Draws, t: int, rng) -> None:
     # The improvised vector is an evaluated solution, so it also feeds the
     # global best (the loop updates gbest after the refresh each iteration).
-    replaced, pos, fit = _improvise_refresh(state.pm, problem, rng)
+    replaced, pos, fit = _improvise_refresh(state.pm, problem, draws, t, rng)
     state.evals += 1
     state.refresh_accepts += replaced
     if fit < state.gbest_f:

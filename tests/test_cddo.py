@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from cddohs import cddo as cddo_mod
-from cddohs import hybrid
+from cddohs import hs, hybrid
 from cddohs.benchmarks import FUNCTION_IDS, make_function
 from cddohs.cddo import (
-    GR_TOLERANCE, N_UNIFORMS, PHI, SR_LR_HIGH, SR_LR_LOW, U_RHP, CddoState, cddo_run, cddo_step,
-    creativity_update, golden_ratio, hand_pressures, init_state, skill_update,
+    BLOCK, GR_TOLERANCE, N_UNIFORMS, PHI, SR_LR_HIGH, SR_LR_LOW, U_GR, U_RHP, CddoState, choices,
+    cddo_run, cddo_step, creativity_update, golden_ratio, init_state, skill_update,
 )
-from cddohs.core import Archive, Problem, RunConfig, evaluate, make_rng
+from cddohs.core import Archive, Problem, RunConfig, clamp, evaluate, make_rng
+from cddohs.hybrid import cddo_hs_run
 
 
 def _problem(dim=2, lower=-10.0, upper=10.0):
@@ -23,44 +24,85 @@ def _cand(*vals):
     return np.array(vals, dtype=float)
 
 
+def _draws(u, problem, pm_size=1):
+    """The choices of one iteration from its (P, 8) block of uniforms."""
+    return choices(np.asarray(u, dtype=float)[None], pm_size, problem)
+
+
+def _hand_pressures(x, u, problem):
+    """(HP, RHP) per agent of x (P, d) from the iteration's block u (P, 8)."""
+    draws = _draws(u, problem)
+    return x.ravel()[draws.hp[0]], draws.rhp[0]
+
+
+def _golden_ratios(x, u):
+    """golden_ratio of each row of x (P, d >= 2) with its index uniforms u (P, 4):
+    M1, N1, M2, N2, gathered as a step gathers them."""
+    block = np.zeros((len(x), N_UNIFORMS))
+    block[:, U_GR] = u
+    xmn = x.ravel()[_draws(block, _problem(dim=x.shape[1])).mn[0]]
+    return golden_ratio(xmn[:, :2], xmn[:, 2:])
+
+
 def _gr(x, *u):
     """golden_ratio of the single row x with the index uniforms u (M1, N1, M2, N2)."""
-    return golden_ratio(np.array([x], dtype=float), np.array([u], dtype=float))[0]
+    return _golden_ratios(np.array([x], dtype=float), np.array([u], dtype=float))[0]
+
+
+def _move(update, gbest, problem):
+    """The candidate clamp(A + B * (gbest - X)) of a move's (A, B, X)."""
+    a, b, x = update
+    return clamp(a + b * (gbest - x), problem)
+
+
+def _skill(x, lbest, gbest, gr, sr, lr, problem):
+    return _move(skill_update(x, lbest, gr, sr, lr), gbest, problem)
+
+
+def _creativity(pm_entry, gbest, sr, problem):
+    return _move(creativity_update(pm_entry, sr), gbest, problem)
+
+
+def _step(state, problem, rng):
+    """cddo_step from one iteration's draws: the (P, 8) block reference_step reads."""
+    u = rng.random((len(state.x), N_UNIFORMS))
+    return cddo_step(state, problem, _draws(u, problem, len(state.pm.f)), 0, rng)
 
 
 class TestHandPressure:
     def test_rhp_within_bounds(self, rng):
         p = _problem(lower=-100, upper=100)
         x = np.zeros((50, 2))
-        _, rhp = hand_pressures(x, rng.random((50, N_UNIFORMS)), p)
+        _, rhp = _hand_pressures(x, rng.random((50, N_UNIFORMS)), p)
         assert np.all((rhp >= -100) & (rhp < 100))
         # the ends of [0, 1) map onto the ends of the box
         u = np.zeros((2, N_UNIFORMS))
         u[1, U_RHP] = np.nextafter(1.0, 0.0)
-        _, rhp = hand_pressures(x[:2], u, p)
+        _, rhp = _hand_pressures(x[:2], u, p)
         assert rhp[0] == -100.0 and rhp[1] == pytest.approx(100.0)
 
     def test_rhp_reproducible(self):
         p = _problem()
         x = np.zeros((2, 2))
-        a = hand_pressures(x, make_rng(4).random((2, N_UNIFORMS)), p)[1]
-        b = hand_pressures(x, make_rng(4).random((2, N_UNIFORMS)), p)[1]
+        a = _hand_pressures(x, make_rng(4).random((2, N_UNIFORMS)), p)[1]
+        b = _hand_pressures(x, make_rng(4).random((2, N_UNIFORMS)), p)[1]
         assert np.array_equal(a, b)
         assert a[0] != a[1]  # each agent has its own draw
 
     def test_hp_single_dim_forced(self):
         # one component: whatever the draw, HP is that component
-        hp, _ = hand_pressures(np.full((3, 1), 7.0), make_rng(0).random((3, N_UNIFORMS)), _problem())
+        hp, _ = _hand_pressures(np.full((3, 1), 7.0), make_rng(0).random((3, N_UNIFORMS)),
+                                _problem(dim=1))
         assert hp.tolist() == [7.0, 7.0, 7.0]
 
     def test_hp_uniform_over_components(self):
         x = np.tile(_cand(1.0, 2.0, 3.0), (3000, 1))
-        hp, _ = hand_pressures(x, make_rng(21).random((3000, N_UNIFORMS)), _problem(dim=3))
+        hp, _ = _hand_pressures(x, make_rng(21).random((3000, N_UNIFORMS)), _problem(dim=3))
         for v in (1.0, 2.0, 3.0):
             assert abs(np.mean(hp == v) - 1 / 3) < 0.05
         # the top of [0, 1) stays on the last component
         u = np.full((1, N_UNIFORMS), np.nextafter(1.0, 0.0))
-        assert hand_pressures(x[:1], u, _problem(dim=3))[0][0] == 3.0
+        assert _hand_pressures(x[:1], u, _problem(dim=3))[0][0] == 3.0
 
 
 class TestGoldenRatio:
@@ -87,7 +129,7 @@ class TestGoldenRatio:
         # the retry is per row: other rows keep their first draw
         x = np.array([[0.0, 5.0], [2.0, 2.0], [0.0, 0.0]])
         u = np.tile([0.0, 0.0, 0.5, 0.0], (3, 1))
-        assert golden_ratio(x, u).tolist() == [1.0, 2.0, PHI]
+        assert _golden_ratios(x, u).tolist() == [1.0, 2.0, PHI]
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflow_is_phi(self):
@@ -101,43 +143,43 @@ class TestSkillUpdate:
     def test_converged_agent_with_zero_gr_goes_to_origin(self):
         p = _problem()
         c = _cand(3.0, -2.0)
-        out = skill_update(c, c, c, gr=0.0, sr=0.9, lr=0.9, problem=p)
+        out = _skill(c, c, c, gr=0.0, sr=0.9, lr=0.9, problem=p)
         assert np.array_equal(out, [0.0, 0.0])
 
     def test_hand_evaluation(self):
         p = _problem(dim=1)
-        out = skill_update(_cand(0.0), _cand(1.0), _cand(2.0),
-                           gr=1.6, sr=1.0, lr=1.0, problem=p)
+        out = _skill(_cand(0.0), _cand(1.0), _cand(2.0),
+                     gr=1.6, sr=1.0, lr=1.0, problem=p)
         # 1.6 * 0 + 1 * (1 - 0) + 1 * (2 - 0)
         assert out == pytest.approx([3.0])
 
     def test_pure_scaling_when_rates_zero(self):
         p = _problem(dim=2, lower=-5, upper=5)
-        out = skill_update(_cand(1.0, 2.0), _cand(0.0, 0.0), _cand(0.0, 0.0),
-                           gr=1.618, sr=0.0, lr=0.0, problem=p)
+        out = _skill(_cand(1.0, 2.0), _cand(0.0, 0.0), _cand(0.0, 0.0),
+                     gr=1.618, sr=0.0, lr=0.0, problem=p)
         assert out == pytest.approx([1.618, 3.236])
 
     def test_clamped(self):
         p = _problem(dim=1, lower=-1, upper=1)
-        out = skill_update(_cand(1.0), _cand(1.0), _cand(1.0),
-                           gr=5.0, sr=0.5, lr=0.5, problem=p)
+        out = _skill(_cand(1.0), _cand(1.0), _cand(1.0),
+                     gr=5.0, sr=0.5, lr=0.5, problem=p)
         assert out == pytest.approx([1.0])
 
 
 class TestCreativityUpdate:
     def test_zero_rate_copies_entry(self):
         p = _problem()
-        out = creativity_update(_cand(1.0, -1.0), _cand(5.0, 5.0), sr=0.0, problem=p)
+        out = _creativity(_cand(1.0, -1.0), _cand(5.0, 5.0), sr=0.0, problem=p)
         assert np.array_equal(out, [1.0, -1.0])
 
     def test_hand_evaluation(self):
         p = _problem()
-        out = creativity_update(_cand(1.0, 1.0), _cand(2.0, 4.0), sr=0.5, problem=p)
+        out = _creativity(_cand(1.0, 1.0), _cand(2.0, 4.0), sr=0.5, problem=p)
         assert out == pytest.approx([2.0, 3.0])
 
     def test_saturates(self):
         p = _problem(dim=1)
-        out = creativity_update(_cand(9.0), _cand(9.0), sr=0.5, problem=p)
+        out = _creativity(_cand(9.0), _cand(9.0), sr=0.5, problem=p)
         assert out == pytest.approx([10.0])
 
 
@@ -220,7 +262,7 @@ class TestCddoStep:
         rng = make_rng(5)
         state = init_state(p, cfg, 8, rng)
         before = state.gbest_f
-        cddo_step(state, p, rng)
+        _step(state, p, rng)
         assert state.gbest_f <= before
 
     def test_branch_exclusivity_via_eval_count(self):
@@ -230,7 +272,7 @@ class TestCddoStep:
         state = init_state(p, cfg, 8, rng)
         for _ in range(5):
             before = (state.evals, state.skill, state.creativity, state.rest)
-            cddo_step(state, p, rng)
+            _step(state, p, rng)
             evals, skill, creativity, rest = (
                 now - was for now, was in zip(
                     (state.evals, state.skill, state.creativity, state.rest), before))
@@ -244,13 +286,13 @@ class TestCddoStep:
         skill_rates, creativity_rates = [], []
         real_skill, real_creat = skill_update, creativity_update
 
-        def spy_skill(x, lbest, gbest, gr, sr, lr, problem):
+        def spy_skill(x, lbest, gr, sr, lr):
             skill_rates.append(np.concatenate([sr, lr]))
-            return real_skill(x, lbest, gbest, gr, sr, lr, problem)
+            return real_skill(x, lbest, gr, sr, lr)
 
-        def spy_creat(entry, gbest, sr, problem):
+        def spy_creat(entry, sr):
             creativity_rates.append(sr)
-            return real_creat(entry, gbest, sr, problem)
+            return real_creat(entry, sr)
 
         monkeypatch.setattr(cddo_mod, "skill_update", spy_skill)
         monkeypatch.setattr(cddo_mod, "creativity_update", spy_creat)
@@ -269,7 +311,7 @@ class TestCddoStep:
         ref = _copy(state)
         rng, ref_rng = make_rng(32), make_rng(32)
         for _ in range(30):
-            cddo_step(state, p, rng)
+            _step(state, p, rng)
             reference_step(ref, p, ref_rng)
         _assert_same(state, ref)
         assert state.creativity > 0 and state.skill > 0
@@ -282,12 +324,13 @@ class TestCddoStep:
         ref = _copy(state)
         rng, ref_rng = make_rng(34), make_rng(34)
         for _ in range(30):
-            hybrid._refresh(state, p, rng)
-            cddo_step(state, p, rng)
-            hybrid._refresh(ref, p, ref_rng)
+            hybrid._refresh(state, p, hs.draw(rng, 1, len(state.pm.f), p), 0, rng)
+            _step(state, p, rng)
+            hybrid._refresh(ref, p, hs.draw(ref_rng, 1, len(ref.pm.f), p), 0, ref_rng)
             reference_step(ref, p, ref_rng)
         _assert_same(state, ref)
         assert state.refresh_accepts > 0
+        assert rng.random() == ref_rng.random()
 
     def test_stochastic_batch_is_one_call_until_a_cut(self):
         # F7 draws noise per row: a batch cut at a gbest improvement is set
@@ -307,7 +350,7 @@ class TestCddoStep:
         state = init_state(f7, RunConfig(pop_size=40, base_seed=35), 8, make_rng(35))
         ref, best = _copy(state), state.gbest_f
         rng, ref_rng = make_rng(36), make_rng(36)
-        cddo_step(state, dataclasses.replace(f7, objective=counted), rng)
+        _step(state, dataclasses.replace(f7, objective=counted), rng)
         reference_step(ref, dataclasses.replace(f7, objective=recorded), ref_rng)
         _assert_same(state, ref)
         assert rng.random() == ref_rng.random()
@@ -322,8 +365,8 @@ class TestCddoStep:
     # must then pull toward that point, not toward the old gbest.
     TWO_AGENTS = np.array([[1.0, -0.5], [4.0, 4.0]])
     NEW_GBEST = np.array([0.5, -0.25])  # gr = (1 - 0.5) / 1 scales agent 0
-    FRESH = skill_update(TWO_AGENTS[1], TWO_AGENTS[1], NEW_GBEST, 2.0, 0.8, 0.8, _problem())
-    STALE = skill_update(TWO_AGENTS[1], TWO_AGENTS[1], TWO_AGENTS[0], 2.0, 0.8, 0.8, _problem())
+    FRESH = _skill(TWO_AGENTS[1], TWO_AGENTS[1], NEW_GBEST, 2.0, 0.8, 0.8, _problem())
+    STALE = _skill(TWO_AGENTS[1], TWO_AGENTS[1], TWO_AGENTS[0], 2.0, 0.8, 0.8, _problem())
 
     def _two_agent_step(self, p, step):
         x = self.TWO_AGENTS
@@ -338,7 +381,7 @@ class TestCddoStep:
 
     def test_later_agents_see_the_gbest_an_earlier_agent_found(self):
         p = _problem()
-        state = self._two_agent_step(p, cddo_step)
+        state = self._two_agent_step(p, _step)
         assert np.array_equal(state.gbest_x, self.NEW_GBEST)
         assert np.array_equal(state.x[1], self.FRESH)
         assert not np.array_equal(self.FRESH, self.STALE)
@@ -355,14 +398,14 @@ class TestCddoStep:
         # The batch holds agent 1's stale candidate; the agent-by-agent loop
         # rebuilds it before evaluating it, so its NaN is never a result.
         p = self._nan_at(self.STALE)
-        state = self._two_agent_step(p, cddo_step)
+        state = self._two_agent_step(p, _step)
         assert np.array_equal(state.x[1], self.FRESH)
         _assert_same(state, self._two_agent_step(p, reference_step))
 
     def test_nan_in_an_evaluated_row_raises(self):
         for point in (self.NEW_GBEST, self.FRESH):  # the first batch, the rebuilt one
             with pytest.raises(ValueError, match="nan-at-point: objective returned NaN"):
-                self._two_agent_step(self._nan_at(point), cddo_step)
+                self._two_agent_step(self._nan_at(point), _step)
 
 
 class TestCddoRun:
@@ -376,7 +419,7 @@ class TestCddoRun:
         rng = make_rng(4)
         state = init_state(p, cfg, 2, rng)
         for _ in range(50):
-            cddo_step(state, p, rng)
+            _step(state, p, rng)
             for x in (state.x, state.lbest_x, state.pm.x, state.gbest_x):
                 assert np.all(x >= p.lower) and np.all(x <= p.upper)
 
@@ -387,7 +430,7 @@ class TestCddoRun:
         state = init_state(p, cfg, 4, rng)
         prev_pm_best = state.pm.f.min()
         for _ in range(40):
-            cddo_step(state, p, rng)
+            _step(state, p, rng)
             assert state.pm.f.min() <= prev_pm_best
             prev_pm_best = state.pm.f.min()
             assert state.gbest_f == min(state.lbest_f)
@@ -408,3 +451,38 @@ class TestCddoRun:
         p = Problem(id="d1", dim=1, lower=-1, upper=1, objective=lambda x: float(x[0] ** 2))
         with pytest.raises(ValueError, match="dim >= 2"):
             cddo_run(p, RunConfig(pop_size=5, max_iters=5))
+
+
+@pytest.mark.parametrize("run", [cddo_run, cddo_hs_run], ids=lambda run: run.__name__)
+@pytest.mark.parametrize("func", ["F1", "F9", "F16"])
+def test_blocks_change_nothing(func, run, monkeypatch):
+    # A run draws BLOCK iterations at a time; a reference loop that draws one
+    # iteration at a time (the hybrid's refresh block, then the step's) reaches
+    # the same run bit for bit across two block boundaries.
+    p = make_function(func)
+    cfg = RunConfig(pop_size=10, max_iters=2 * BLOCK + 7, base_seed=11)
+    hybrid_run = run is cddo_hs_run
+    fraction = hybrid.PM_FRACTION if hybrid_run else cddo_mod.PM_FRACTION
+    rng = make_rng(cfg.seed_for_run(0))
+    state = init_state(p, cfg, math.ceil(fraction * cfg.pop_size), rng)
+    trace = []
+    for _ in range(cfg.max_iters):
+        if hybrid_run:
+            hybrid._refresh(state, p, hs.draw(rng, 1, len(state.pm.f), p), 0, rng)
+        _step(state, p, rng)
+        trace.append(state.gbest_f)
+
+    sizes = []
+
+    def spy(u, pm_size, problem):
+        sizes.append(len(u))
+        return choices(u, pm_size, problem)
+
+    monkeypatch.setattr(cddo_mod, "choices", spy)
+    r = run(p, cfg)
+    assert r.trace.tobytes() == np.array(trace).tobytes()
+    assert r.best_position.tobytes() == state.gbest_x.tobytes()
+    for field in ("evals", "skill", "creativity", "rest", "pm_replacements", "refresh_accepts"):
+        assert getattr(r, field) == getattr(state, field), field
+    assert hybrid_run == (r.refresh_accepts > 0)
+    assert max(sizes) <= BLOCK and sum(sizes) == cfg.max_iters

@@ -14,13 +14,18 @@ def _pm(positions):
     return Archive(x, np.sum(np.square(x), axis=1))
 
 
+def _refresh_once(pm, problem, rng):
+    """One refresh from one improvisation's draws from rng; (kept, position, fitness)."""
+    return _improvise_refresh(pm, problem, hs.draw(rng, 1, len(pm.f), problem), 0, rng)
+
+
 class TestRefresh:
     def test_identical_rows_cannot_strictly_improve(self, monkeypatch):
         monkeypatch.setattr(hs, "HMCR", 1.0)
         monkeypatch.setattr(hs, "PAR", 0.0)
         p = make_function("F1")
         pm = _pm([np.full(10, 3.0)] * 4)
-        assert not _improvise_refresh(pm, p, make_rng(1))[0]
+        assert not _refresh_once(pm, p, make_rng(1))[0]
 
     def test_pure_random_ignores_pm(self, monkeypatch):
         monkeypatch.setattr(hs, "HMCR", 0.0)
@@ -30,7 +35,7 @@ class TestRefresh:
         # with hmcr=0 the improvised vector is uniform in bounds; a uniform
         # draw over [-100,100]^10 beats a PM stuck at 99-vectors essentially always
         hits = sum(
-            _improvise_refresh(_pm([np.full(10, 99.0)] * 4), p, make_rng(s))[0]
+            _refresh_once(_pm([np.full(10, 99.0)] * 4), p, make_rng(s))[0]
             for s in range(20)
         )
         assert hits == 20
@@ -42,7 +47,7 @@ class TestRefresh:
         rng = make_rng(3)
         improved = 0
         for _ in range(1000):
-            if _improvise_refresh(pm, p, rng)[0]:
+            if _refresh_once(pm, p, rng)[0]:
                 improved += 1
         assert improved >= 1
 
@@ -53,7 +58,7 @@ class TestRefresh:
         state = init_state(p, cfg, 8, rng)
         for _ in range(300):
             worst_before = state.pm.f.max()
-            _improvise_refresh(state.pm, p, rng)
+            _refresh_once(state.pm, p, rng)
             assert state.pm.f.max() <= worst_before
 
 
@@ -72,16 +77,17 @@ class TestHybridRun:
         assert sizes == [32, 8]
 
     def test_reduces_to_cddo_when_refresh_disabled(self, monkeypatch):
-        # A refresh that draws nothing and never improves leaves plain CDDO
-        # with an 80% pattern memory, plus one counted evaluation per iteration.
-        def inert_refresh(pm, problem, rng):
+        # A refresh that never improves leaves CDDO with an 80% pattern memory,
+        # plus one counted evaluation per iteration. The refresh's uniforms are
+        # drawn with the step's, so the plain run has a refresh that does nothing.
+        def inert_refresh(pm, problem, draws, t, rng):
             return False, np.zeros(problem.dim), math.inf
 
         monkeypatch.setattr(hybrid, "_improvise_refresh", inert_refresh)
         p = make_function("F9")
         cfg = RunConfig(pop_size=16, max_iters=120, base_seed=123)
         hyb = cddo_hs_run(p, cfg)
-        plain = _run_engine(p, cfg, hybrid.PM_FRACTION, 0)
+        plain = _run_engine(p, cfg, hybrid.PM_FRACTION, 0, refresh=lambda *args: None)
         assert np.array_equal(hyb.trace, plain.trace)
         assert hyb.evals == plain.evals + cfg.max_iters
 
