@@ -51,37 +51,39 @@ _HARTMANN3_P = np.array(
 # a single component are written as products: a one-point call sees numpy
 # scalars, whose ``**`` is libm's pow, while rows see arrays, whose ``**``
 # can round differently in the last bit; a product rounds the same both ways.
+# Reductions are the ufunc's own reduce/accumulate (np.add.reduce for np.sum,
+# and so on): bit for bit numpy's functions, without their Python dispatch.
 
 
 def f1_sphere(x):
-    return np.sum(x * x, axis=-1)
+    return np.add.reduce(x * x, -1)
 
 
 def f2_sum_and_product(x):
     ax = np.abs(x)
-    return np.sum(ax, axis=-1) + np.prod(ax, axis=-1)
+    return np.add.reduce(ax, -1) + np.multiply.reduce(ax, -1)
 
 
 def f3_rotated_hyper_ellipsoid(x):
-    return np.sum(np.cumsum(x, axis=-1) ** 2, axis=-1)
+    return np.add.reduce(np.add.accumulate(x, -1) ** 2, -1)
 
 
 def f4_max_abs(x):
-    return np.max(np.abs(x), axis=-1)
+    return np.maximum.reduce(np.abs(x), -1)
 
 
 def f5_rosenbrock(x):
     head, tail = x[..., :-1], x[..., 1:]
-    return np.sum(100.0 * (tail - head ** 2) ** 2 + (head - 1.0) ** 2, axis=-1)
+    return np.add.reduce(100.0 * (tail - head ** 2) ** 2 + (head - 1.0) ** 2, -1)
 
 
 def f6_step(x):
-    return np.sum(np.floor(x + 0.5) ** 2, axis=-1)
+    return np.add.reduce(np.floor(x + 0.5) ** 2, -1)
 
 
 def f7_deterministic_part(x):
     i = np.arange(1, x.shape[-1] + 1)
-    return np.sum(i * x ** 4, axis=-1)
+    return np.add.reduce(i * x ** 4, -1)
 
 
 def f7_quartic_noise(x, rng):
@@ -90,18 +92,18 @@ def f7_quartic_noise(x, rng):
 
 
 def f8_schwefel(x):
-    return np.sum(-x * np.sin(np.sqrt(np.abs(x))), axis=-1)
+    return np.add.reduce(-x * np.sin(np.sqrt(np.abs(x))), -1)
 
 
 def f9_rastrigin(x):
-    return np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x) + 10.0, axis=-1)
+    return np.add.reduce(x * x - 10.0 * np.cos(2.0 * np.pi * x) + 10.0, -1)
 
 
 def f10_ackley(x):
     n = x.shape[-1]
     return (
-        -20.0 * np.exp(-0.2 * np.sqrt(np.sum(x * x, axis=-1) / n))
-        - np.exp(np.sum(np.cos(2.0 * np.pi * x), axis=-1) / n)
+        -20.0 * np.exp(-0.2 * np.sqrt(np.add.reduce(x * x, -1) / n))
+        - np.exp(np.add.reduce(np.cos(2.0 * np.pi * x), -1) / n)
         + 20.0
         + np.e
     )
@@ -109,11 +111,11 @@ def f10_ackley(x):
 
 def f11_griewank(x):
     i = np.arange(1, x.shape[-1] + 1)
-    return np.sum(x * x, axis=-1) / 4000.0 - np.prod(np.cos(x / np.sqrt(i)), axis=-1) + 1.0
+    return np.add.reduce(x * x, -1) / 4000.0 - np.multiply.reduce(np.cos(x / np.sqrt(i)), -1) + 1.0
 
 
 def _penalty(x, a, k, m):
-    return np.sum(np.where(np.abs(x) > a, k * (np.abs(x) - a) ** m, 0.0), axis=-1)
+    return np.add.reduce(np.where(np.abs(x) > a, k * (np.abs(x) - a) ** m, 0.0), -1)
 
 
 def f12_penalized1(x):
@@ -122,7 +124,7 @@ def f12_penalized1(x):
     s, z = np.sin(np.pi * y[..., 0]), y[..., -1] - 1.0
     core = (
         10.0 * (s * s)
-        + np.sum((y[..., :-1] - 1.0) ** 2 * (1.0 + 10.0 * np.sin(np.pi * y[..., 1:]) ** 2), axis=-1)
+        + np.add.reduce((y[..., :-1] - 1.0) ** 2 * (1.0 + 10.0 * np.sin(np.pi * y[..., 1:]) ** 2), -1)
         + z * z
     )
     return np.pi / n * core + _penalty(x, 10.0, 100.0, 4.0)
@@ -132,22 +134,22 @@ def f13_penalized2(x):
     s, z, w = np.sin(3.0 * np.pi * x[..., 0]), x[..., -1] - 1.0, np.sin(2.0 * np.pi * x[..., -1])
     core = (
         s * s
-        + np.sum((x[..., :-1] - 1.0) ** 2 * (1.0 + np.sin(3.0 * np.pi * x[..., 1:]) ** 2), axis=-1)
+        + np.add.reduce((x[..., :-1] - 1.0) ** 2 * (1.0 + np.sin(3.0 * np.pi * x[..., 1:]) ** 2), -1)
         + z * z * (1.0 + w * w)
     )
     return 0.1 * core + _penalty(x, 5.0, 100.0, 4.0)
 
 
 def f14_foxholes(x):
-    d = np.sum((x[..., :, None] - _FOXHOLES_A) ** 6, axis=-2)
-    return 1.0 / (1.0 / 500.0 + np.sum(1.0 / (np.arange(1, 26) + d), axis=-1))
+    d = np.add.reduce((x[..., :, None] - _FOXHOLES_A) ** 6, -2)
+    return 1.0 / (1.0 / 500.0 + np.add.reduce(1.0 / (np.arange(1, 26) + d), -1))
 
 
 def f15_kowalik(x):
     x1, x2, x3, x4 = (x[..., k, None] for k in range(4))
     num = x1 * (_KOWALIK_B ** 2 + _KOWALIK_B * x2)
     den = _KOWALIK_B ** 2 + _KOWALIK_B * x3 + x4
-    return np.sum((_KOWALIK_A - num / den) ** 2, axis=-1)
+    return np.add.reduce((_KOWALIK_A - num / den) ** 2, -1)
 
 
 def f16_six_hump_camel(x):
@@ -174,8 +176,8 @@ def f18_goldstein_price(x):
 
 
 def f19_hartmann3(x):
-    inner = np.sum(_HARTMANN3_A * (x[..., None, :] - _HARTMANN3_P) ** 2, axis=-1)
-    return -np.sum(_HARTMANN3_C * np.exp(-inner), axis=-1)
+    inner = np.add.reduce(_HARTMANN3_A * (x[..., None, :] - _HARTMANN3_P) ** 2, -1)
+    return -np.add.reduce(_HARTMANN3_C * np.exp(-inner), -1)
 
 
 # -- registry -----------------------------------------------------------------

@@ -25,13 +25,16 @@ class HarmonyMemory(Archive):
 
 
 class Draws(NamedTuple):
-    """The choices of n improvisations, each (n, d): row t is improvisation t."""
+    """The choices of n improvisations, row t for improvisation t: arrays of
+    (n, d), and two flag lists of n Python bools, computed once per block."""
 
     take: np.ndarray    # copy the component from memory (prob HMCR), else redraw
     source: np.ndarray  # the memory entry it copies: row * d + column, flat in (m, d)
     adjust: np.ndarray  # nudge the copy (prob PAR)
     nudge: np.ndarray   # uniform(-1, 1) * BW
     redraw: np.ndarray  # uniform in the box
+    nudges: list[bool]  # improvisation t nudges a component: adjust[t].any()
+    redraws: list[bool]  # improvisation t redraws a component: (~take[t]).any()
 
 
 def draw(rng, n: int, m: int, problem: Problem) -> Draws:
@@ -45,10 +48,11 @@ def choices(u: np.ndarray, m: int, problem: Problem) -> Draws:
     uniforms u (n, 4, d). Block t's rows are the HMCR test, the memory row, the
     PAR test, and the nudge or the redraw (a component takes at most one of them)."""
     d = problem.dim
-    return Draws(take=u[:, 0] <= HMCR, source=indices(u[:, 1], m) * d + np.arange(d),
-                 adjust=u[:, 2] <= PAR,
+    take, adjust = u[:, 0] <= HMCR, u[:, 2] <= PAR
+    return Draws(take=take, source=indices(u[:, 1], m) * d + np.arange(d), adjust=adjust,
                  nudge=scale(u[:, 3], -1.0, 1.0) * BW,
-                 redraw=scale(u[:, 3], problem.lower, problem.upper))
+                 redraw=scale(u[:, 3], problem.lower, problem.upper),
+                 nudges=adjust.any(1).tolist(), redraws=(~take).any(1).tolist())
 
 
 def improvise(positions: np.ndarray, draws: Draws, t: int, problem: Problem) -> np.ndarray:
@@ -56,10 +60,14 @@ def improvise(positions: np.ndarray, draws: Draws, t: int, problem: Problem) -> 
 
     Each component: with prob HMCR copy it from a random row (then with prob
     PAR nudge it by uniform(-1,1)*BW), otherwise redraw uniformly in bounds.
+    A select runs only when its flag (``nudges[t]``, ``redraws[t]``) is set.
     """
     memory = positions.take(draws.source[t])
-    memory = np.where(draws.adjust[t], memory + draws.nudge[t], memory)
-    return clamp(np.where(draws.take[t], memory, draws.redraw[t]), problem)
+    if draws.nudges[t]:
+        memory = np.where(draws.adjust[t], memory + draws.nudge[t], memory)
+    if draws.redraws[t]:
+        memory = np.where(draws.take[t], memory, draws.redraw[t])
+    return clamp(memory, problem)
 
 
 def iterate(memory: Archive, problem: Problem, draws: Draws, t: int,

@@ -216,3 +216,19 @@ class TestRowContract:
         assert np.array_equal(_bits(batch), _bits(points))
         assert len(set(points)) == n  # each row drew its own noise
         assert batch_rng.random() == point_rng.random()
+
+
+@pytest.mark.parametrize("fid", FUNCTION_IDS)
+def test_objectives_skip_numpy_reduction_dispatch(fid, monkeypatch):
+    # np.sum and friends cost more in Python-level dispatch than a one-point
+    # reduction costs; the objectives call the ufunc's reduce/accumulate
+    def dispatched(*args, **kwargs):
+        raise AssertionError("objective called a dispatching numpy reduction")
+
+    for name in ("sum", "prod", "max", "amax", "cumsum"):
+        monkeypatch.setattr(np, name, dispatched)
+    s = SPECS[fid]
+    rows = s.lower + (s.upper - s.lower) * make_rng(3).random((8, s.dim))
+    rng = make_rng(4) if s.stochastic else None
+    assert isinstance(evaluate(s, rows[0], rng), float)
+    assert evaluate_rows(s, rows, rng).shape == (8,)

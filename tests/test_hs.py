@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from cddohs.benchmarks import make_function
-from cddohs.core import Problem, RunConfig, init_population, make_rng
+from cddohs.core import Problem, RunConfig, clamp, init_population, make_rng
 from cddohs import hs
-from cddohs.hs import HarmonyMemory, draw, hs_run, improvise, iterate
+from cddohs.hs import HarmonyMemory, choices, draw, hs_run, improvise, iterate
 
 
 def _problem(dim=4, lower=-1.0, upper=1.0):
@@ -81,6 +81,33 @@ class TestImprovise:
                         pitch += 1
         assert abs(mem / n - 0.9) < 0.01
         assert abs(pitch / n - 0.9 * 0.3) < 0.01
+
+
+@pytest.mark.parametrize("dim", [2, 10, 30])
+def test_skipped_selects_change_nothing(dim):
+    # improvise skips a select whose flag is unset; both selects, always run,
+    # give the same vector bit for bit. The memory holds -0.0 at a lower
+    # bound of 0.0 (the clamp keeps its sign) and rows at both bounds.
+    p = _problem(dim=dim, lower=0.0, upper=1.0)
+    rng = make_rng(dim)
+    positions = np.vstack([rng.random((3, dim)), np.full((1, dim), -0.0),
+                           np.zeros((1, dim)), np.ones((1, dim))])
+    # hand-built improvisations: neither flag, a nudge only, a redraw only, both
+    u = rng.random((4, 4, dim))
+    u[:, 0], u[:, 2] = 0.0, 1.0  # copy every component, nudge none
+    u[1, 2, 0] = u[3, 2, 0] = 0.0
+    u[2, 0, -1] = u[3, 0, -1] = 1.0
+    forced = choices(u, len(positions), p)
+    assert forced.nudges == [False, True, False, True]
+    assert forced.redraws == [False, False, True, True]
+    for draws in (forced, draw(rng, 300, len(positions), p)):
+        for t in range(len(draws.take)):
+            m = positions.take(draws.source[t])
+            full = np.where(draws.take[t], np.where(draws.adjust[t], m + draws.nudge[t], m),
+                            draws.redraw[t])
+            assert improvise(positions, draws, t, p).tobytes() == clamp(full, p).tobytes()
+        assert draws.nudges == draws.adjust.any(1).tolist()
+        assert draws.redraws == (~draws.take).any(1).tolist()
 
 
 class TestHsRun:
