@@ -103,10 +103,13 @@ def golden_ratio(xm: np.ndarray, xn: np.ndarray) -> np.ndarray:
     well: an infinite gr would make the skill move inf * 0 or inf - inf, a
     NaN position.
     """
-    second = xm[:, 0] == 0.0
-    den = np.where(second, xm[:, 1], xm[:, 0])
-    gr = np.divide(den + np.where(second, xn[:, 1], xn[:, 0]), den,
-                   out=np.full(len(den), PHI), where=den != 0.0)
+    nonzero = xm != 0.0
+    # both draws' ratios in one divide, then the first's wherever it has a denominator
+    ratios = np.empty(xm.shape)
+    ratios.fill(PHI)
+    np.divide(xm + xn, xm, out=ratios, where=nonzero)
+    gr = ratios[:, 1]
+    np.copyto(gr, ratios[:, 0], where=nonzero[:, 0])
     gr[np.isinf(gr)] = PHI
     return gr
 
@@ -153,19 +156,22 @@ def cddo_step(state: CddoState, problem: Problem, draws: Draws, t: int, rng) -> 
     skill = flat.take(draws.hp[t]) < draws.rhp[t]
     xmn = flat.take(draws.mn[t])
     gr = golden_ratio(xmn[:, :2], xmn[:, 2:])
-    creative = ~skill & (np.abs(gr - PHI) <= GR_TOLERANCE)
-    s, c = skill.nonzero()[0], creative.nonzero()[0]
-    movers = (skill | creative).nonzero()[0]
-    # (A, B, X) of each agent's move, a resting agent's row unset; take() is
-    # the gather without fancy indexing's cost per call
-    a, b, z = np.empty_like(x), np.empty((len(x), 1)), np.empty_like(x)
-    a[s], b[s], z[s] = skill_update(x.take(s, 0), lbest_x.take(s, 0), gr.take(s)[:, None],
-                                    draws.sr_skill[t].take(s, 0), draws.lr[t].take(s, 0))
-    a[c], b[c], z[c] = creativity_update(state.pm.x.take(draws.pick[t].take(c), 0),
-                                         draws.sr_creative[t].take(c, 0))
-    a, b, z = a.take(movers, 0), b.take(movers, 0), z.take(movers, 0)
+    movers = (skill | (np.abs(gr - PHI) <= GR_TOLERANCE)).nonzero()[0]
+    # both branches' (A, B, X) at every mover, from rows gathered once; take()
+    # is the gather without fancy indexing's cost per call
+    x_m = x.take(movers, 0)
+    skill_move = skill_update(x_m, lbest_x.take(movers, 0), gr.take(movers)[:, None],
+                              draws.sr_skill[t].take(movers, 0), draws.lr[t].take(movers, 0))
+    creative_move = creativity_update(state.pm.x.take(draws.pick[t].take(movers), 0),
+                                      draws.sr_creative[t].take(movers, 0))
+    # each mover's own branch, in copies of the step's own: the helpers return arguments
+    creative = ~skill.take(movers)[:, None]
+    a, b, z = (np.array(m) for m in skill_move)
+    for out, m in zip((a, b, z), creative_move):
+        np.copyto(out, m, where=creative)
     new = np.empty_like(a)  # the movers' candidates, in agent order
-    fit = np.empty(len(movers))
+    fit = np.empty(len(x))  # per agent; a resting agent's inf is never a better lbest
+    fit.fill(np.inf)
     j = 0  # movers before j have their agent-by-agent candidate and fitness
     while j < len(movers):
         new[j:] = clamp(a[j:] + b[j:] * (state.gbest_x - z[j:]), problem)
@@ -177,7 +183,7 @@ def cddo_step(state: CddoState, problem: Problem, draws: Draws, t: int, rng) -> 
         if problem.stochastic and n < len(f):
             rng.bit_generator.state = before
             f = core.evaluate_rows(problem, new[j:j + n], rng)
-        fit[j:j + n] = f[:n]
+        fit[movers[j:j + n]] = f[:n]
         j += n
         if len(stop):
             f_i = float(f[n - 1])
@@ -186,13 +192,13 @@ def cddo_step(state: CddoState, problem: Problem, draws: Draws, t: int, rng) -> 
             state.gbest_x, state.gbest_f = new[j - 1].copy(), f_i
 
     x[movers] = new
-    better = fit < state.lbest_f.take(movers)
-    kept = movers[better]
-    lbest_x[kept] = new[better]
-    state.lbest_f[kept] = fit[better]
+    better = fit < state.lbest_f
+    np.copyto(lbest_x, x, where=better[:, None])
+    np.copyto(state.lbest_f, fit, where=better)
     state.evals += len(movers)
-    state.skill += len(s)
-    state.creativity += len(c)
+    n_skill = int(np.count_nonzero(skill))
+    state.skill += n_skill
+    state.creativity += len(movers) - n_skill
     state.rest += len(x) - len(movers)
     state.pm_replacements += state.pm.replace_worst(state.gbest_x, state.gbest_f)
     return state

@@ -9,6 +9,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
+# np.clip's ufunc, from numpy._core (numpy.core before numpy 2); if numpy moves it, this fails
+_clip = (np._core if int(np.__version__.split(".")[0]) >= 2 else np.core).umath.clip
+
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
@@ -131,8 +134,8 @@ def indices(u: np.ndarray, n: int) -> np.ndarray:
 
 
 def clamp(position: np.ndarray, problem: Problem) -> np.ndarray:
-    # the method np.clip ends in, without its Python-level dispatch; -0.0 stays -0.0
-    return position.clip(problem.lower, problem.upper)
+    # the ufunc, without np.clip's and ndarray.clip's Python-level dispatch; -0.0 stays -0.0
+    return _clip(position, problem.lower, problem.upper)
 
 
 def nan_error(problem: Problem) -> ValueError:

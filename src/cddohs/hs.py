@@ -60,13 +60,13 @@ def improvise(positions: np.ndarray, draws: Draws, t: int, problem: Problem) -> 
 
     Each component: with prob HMCR copy it from a random row (then with prob
     PAR nudge it by uniform(-1,1)*BW), otherwise redraw uniformly in bounds.
-    A select runs only when its flag (``nudges[t]``, ``redraws[t]``) is set.
+    A masked copy runs only when its flag (``nudges[t]``, ``redraws[t]``) is set.
     """
-    memory = positions.take(draws.source[t])
+    memory = positions.take(draws.source[t])  # a fresh row, so the copies write into it
     if draws.nudges[t]:
-        memory = np.where(draws.adjust[t], memory + draws.nudge[t], memory)
+        np.copyto(memory, memory + draws.nudge[t], where=draws.adjust[t])
     if draws.redraws[t]:
-        memory = np.where(draws.take[t], memory, draws.redraw[t])
+        np.copyto(memory, draws.redraw[t], where=~draws.take[t])
     return clamp(memory, problem)
 
 

@@ -106,6 +106,17 @@ class TestKnownValues:
         x = np.array(SPECS["F15"].minimizer)
         assert evaluate_at("F15", x) == pytest.approx(0.0003075, abs=1e-4)
 
+    @pytest.mark.filterwarnings("error:divide by zero:RuntimeWarning",
+                                "error:invalid value:RuntimeWarning")
+    def test_f15_poles_are_inf(self):
+        # b² + b·x3 + x4 is 0 at x3 = 0, x4 = -b², inside the box for b = 1/16:
+        # 0.1·b² / 0 and 0 / 0 are +inf, ranked last, for one point and rows alike
+        poles = np.array([[0.1, 0.0, 0.0, -1 / 256], [0.0, 0.0, 0.0, -1 / 256]])
+        assert [evaluate_at("F15", x) for x in poles] == [np.inf, np.inf]
+        rows = np.vstack([poles, [SPECS["F15"].minimizer]])
+        values = benchmarks.f15_kowalik(rows)
+        assert values.tolist() == [np.inf, np.inf, evaluate_at("F15", rows[2])]
+
     def test_f19_hartmann_canonical(self):
         s = SPECS["F19"]
         assert benchmarks.f19_hartmann3(np.array(s.minimizer)) == pytest.approx(s.f_min, abs=1e-4)

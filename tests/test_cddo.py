@@ -126,6 +126,8 @@ class TestGoldenRatio:
         assert _gr([0.0, 5.0], 0.0, 0.0, 0.0, 0.0) == PHI
         # first draw zero, second picks M=1 -> (5 + 0) / 5 = 1
         assert _gr([0.0, 5.0], 0.0, 0.0, 0.5, 0.0) == 1.0
+        # a first draw with a denominator is kept, whatever the second's
+        assert _gr([5.0, 0.0], 0.0, 0.0, 0.5, 0.0) == 1.0
         # the retry is per row: other rows keep their first draw
         x = np.array([[0.0, 5.0], [2.0, 2.0], [0.0, 0.0]])
         u = np.tile([0.0, 0.0, 0.5, 0.0], (3, 1))
@@ -302,6 +304,34 @@ class TestCddoStep:
         assert skill_rates.size >= 2 * r.skill > 0  # skill branch fired
         assert np.all((skill_rates >= 0.6) & (skill_rates < 1.0))
         assert np.all((creativity_rates >= 0.0) & (creativity_rates < 0.5))
+
+    def test_step_writes_only_into_its_own_arrays(self, monkeypatch):
+        # the helpers return arguments (creativity_update its sr), and a caller
+        # such as a spy may keep them: a step reads them and a block's draws
+        # and writes only into arrays it allocates
+        p = make_function("F9")
+        rng = make_rng(9)
+        state = init_state(p, RunConfig(pop_size=40), 8, rng)
+        draws = choices(rng.random((BLOCK, 40, N_UNIFORMS)), 8, p)
+        draws_before = [a.copy() for a in draws]
+        calls = []
+
+        def keep(helper):
+            def spy(*args):
+                calls.append([(a, np.copy(a)) for a in args])
+                return helper(*args)
+            return spy
+
+        monkeypatch.setattr(cddo_mod, "skill_update", keep(skill_update))
+        monkeypatch.setattr(cddo_mod, "creativity_update", keep(creativity_update))
+        for t in range(BLOCK):
+            cddo_step(state, p, draws, t, rng)
+            for arg, copy in (pair for call in calls for pair in call):
+                assert arg.tobytes() == copy.tobytes()
+            calls.clear()
+        assert state.skill > 0 and state.creativity > 0
+        for now, before in zip(draws, draws_before):
+            assert now.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("func", FUNCTION_IDS)
     def test_matches_agent_by_agent_reference(self, func):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cddohs import core
 from cddohs.benchmarks import FUNCTION_IDS, evaluate_at, make_function
 from cddohs.cddo import cddo_run
 from cddohs.core import (
@@ -109,6 +110,17 @@ class TestClamp:
     def test_boundary_is_fixed_point(self):
         p = Problem(id="t", dim=1, lower=1.0, upper=2.0, objective=lambda x: 0.0)
         assert np.array_equal(clamp(np.array([1.0]), p), [1.0])
+
+    def test_is_the_clip_ufunc_bit_for_bit(self):
+        # clamp calls the ufunc ndarray.clip ends in, without the method's
+        # Python-level dispatch; the same bits, -0.0 included
+        assert isinstance(core._clip, np.ufunc) and core._clip.__name__ == "clip"
+        for lower, upper in [(-1.0, 1.0), (0.0, 1.0), (-1.0, -0.0)]:
+            p = Problem(id="t", dim=3, lower=lower, upper=upper, objective=lambda x: 0.0)
+            edges = [np.nextafter(lower, -2.0), lower, np.nextafter(lower, 0.5), upper,
+                     np.nextafter(upper, 2.0), -2.0, 2.0, -0.0, 0.0]
+            for x in (np.array(edges), np.array(edges).reshape(3, 3)):
+                assert clamp(x, p).tobytes() == x.clip(lower, upper).tobytes()
 
 
 class TestUniform:

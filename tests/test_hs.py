@@ -110,6 +110,24 @@ def test_skipped_selects_change_nothing(dim):
         assert draws.redraws == (~draws.take).any(1).tolist()
 
 
+def test_improvise_writes_only_into_its_own_row():
+    # improvise's masked copies write into the row it gathers, never into the
+    # block's draws or the memory
+    p = make_function("F13")  # dim 30: most improvisations nudge, about one in seven redraws
+    rng = make_rng(13)
+    hm = HarmonyMemory(*init_population(p, 40, rng))
+    draws = draw(rng, 500, 40, p)
+    before = [np.copy(a) for a in draws]
+    for t in range(500):
+        positions = hm.x.copy()
+        improvise(hm.x, draws, t, p)
+        assert hm.x.tobytes() == positions.tobytes()
+        iterate(hm, p, draws, t, rng)
+    assert any(draws.nudges) and any(draws.redraws)
+    for now, was in zip(draws, before):
+        assert np.asarray(now).tobytes() == was.tobytes()
+
+
 class TestHsRun:
     def test_memory_monotonicity(self):
         p = make_function("F10")
