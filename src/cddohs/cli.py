@@ -9,7 +9,7 @@ from pathlib import Path
 from . import reference
 from .benchmarks import FUNCTION_IDS, SPECS
 from .core import RunConfig
-from .harness import (ALGORITHMS, FORMATS, ExperimentPlan, compare_to_reference, load_averages,
+from .harness import (ALGORITHMS, ExperimentPlan, compare_to_reference, load_averages,
                       load_summary, run_experiment)
 from .stats import rank_algorithms
 
@@ -29,7 +29,6 @@ def cmd_run(args) -> int:
             config=RunConfig(pop_size=args.pop, max_iters=args.iters,
                              n_runs=args.runs, base_seed=args.seed),
             output_dir=Path(args.out),
-            formats=FORMATS if args.format == "both" else (args.format,),
         )
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -81,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--runs", type=int, default=RunConfig.n_runs)
     p_run.add_argument("--seed", type=int, default=RunConfig.base_seed)
     p_run.add_argument("--out", default=ExperimentPlan.output_dir)
-    p_run.add_argument("--format", choices=[*FORMATS, "both"], default="both")
     p_run.set_defaults(fn=cmd_run)
 
     p_cmp = sub.add_parser("compare", help="compare a summary.csv or .json to the published table")

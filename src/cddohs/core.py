@@ -95,10 +95,12 @@ class RunConfig:
 
     def seed_for_run(self, run_index: int) -> int:
         """base_seed + run_index, an int >= 0 (cells replace a negative base seed)."""
-        seed = self.base_seed + run_index
-        if not _is_int(run_index) or seed < 0:
+        if not _is_int(run_index):
+            raise ValueError(f"run {run_index!r}: the run index is not an integer")
+        seed = self.base_seed + int(run_index)
+        if seed < 0:
             raise ValueError(f"run {run_index}: seed {seed} is not an integer >= 0")
-        return int(seed)
+        return seed
 
 
 @dataclass

@@ -29,7 +29,6 @@ ALGORITHMS = {
     "cddo-hs": cddo_hs_run,
 }
 
-FORMATS = ("csv", "json")  # artifact formats, written in this order
 SUMMARY_HEADER = ["algo", "func", "avg", "std", "best", "worst", "n_runs", "seed"]
 CONVERGENCE_HEADER = ["run", "iter", "gbest"]
 PVALUES_HEADER = ["func", "algo_a", "algo_b", "p_value"]
@@ -41,12 +40,10 @@ class ExperimentPlan:
     functions: tuple[str, ...]
     config: RunConfig = field(default_factory=RunConfig)
     output_dir: Path = Path("results")
-    formats: tuple[str, ...] = FORMATS
 
     def __post_init__(self):
         for kind, name, known in (("algorithm", "algorithms", ALGORITHMS),
-                                  ("function", "functions", FUNCTION_IDS),
-                                  ("format", "formats", FORMATS)):
+                                  ("function", "functions", FUNCTION_IDS)):
             ids = getattr(self, name)
             if isinstance(ids, str):
                 # a string is a sequence of one-letter ids
@@ -89,14 +86,14 @@ def _json_cells(column, text: list[str]) -> list[str]:
     return list(map(encode_basestring_ascii, column)) if isinstance(column[0], str) else text
 
 
-def _write(out: Path, name: str, formats, header: list[str], columns) -> list[Path]:
-    """Write one table, its columns in header order, atomically as out/name.<format> for
-    each of ``formats``; the paths, in that order. The JSON is byte for byte json.dumps of
-    the rows as dicts (indent=2, sort_keys=True), filled from one row template with each
-    cell encoded once: json.dumps encodes in pure Python, token by token, when indented."""
+def _write(out: Path, name: str, header: list[str], columns) -> list[Path]:
+    """Write one table, its columns in header order, atomically as out/name.csv and then
+    out/name.json; the two paths. The JSON is byte for byte json.dumps of the rows as dicts
+    (indent=2, sort_keys=True), filled from one row template with each cell encoded once:
+    json.dumps encodes in pure Python, token by token, when indented."""
     text = [list(map(str, column)) for column in columns]
     paths = []
-    for fmt in formats:
+    for fmt in ("csv", "json"):
         if fmt == "csv":
             body = "\n".join([",".join(header), *map(",".join, zip(*text))]) + "\n"
         else:
@@ -122,7 +119,6 @@ def run_experiment(plan: ExperimentPlan) -> dict:
 
     algos = sorted(plan.algorithms)
     funcs = [f for f in FUNCTION_IDS if f in plan.functions]
-    formats = [f for f in FORMATS if f in plan.formats]
     cells = {(a, f): run_cell(a, f, plan.config) for a in algos for f in funcs}
     finals = {cell: [r.best_fitness for r in results] for cell, results in cells.items()}
     summary_rows = []
@@ -133,15 +129,14 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     pvalue_rows = [[f, a, b, _fmt(wilcoxon_rank_sum(finals[a, f], finals[b, f]))]
                    for f in funcs for a, b in itertools.combinations(algos, 2)]
 
-    written = [_write(out, "summary", formats, SUMMARY_HEADER, list(zip(*summary_rows))),
-               _write(out, "pvalues", formats, PVALUES_HEADER, list(zip(*pvalue_rows)))]
+    written = [_write(out, "summary", SUMMARY_HEADER, list(zip(*summary_rows))),
+               _write(out, "pvalues", PVALUES_HEADER, list(zip(*pvalue_rows)))]
     for (algo, func), results in cells.items():  # one cell's columns at a time
         traces = [res.trace.tolist() for res in results]
         columns = [[r for r, trace in enumerate(traces) for _ in trace],
                    [t for trace in traces for t in range(len(trace))],
                    [g for trace in traces for g in map(_fmt, trace)]]
-        written.append(_write(out, f"convergence_{algo}_{func}", formats,
-                              CONVERGENCE_HEADER, columns))
+        written.append(_write(out, f"convergence_{algo}_{func}", CONVERGENCE_HEADER, columns))
     return {"paths": [str(p) for per_format in zip(*written) for p in per_format]}
 
 
@@ -150,9 +145,9 @@ def _rows(path, *columns: str) -> list[dict]:
     with open(path, newline="") as fh:
         rows = json.load(fh) if Path(path).suffix == ".json" else list(csv.DictReader(fh))
     if not rows:  # a header-only CSV, [] or {}: nothing to read
-        raise ValueError(f"{path}: no summary rows")
+        raise ValueError(f"{path}: no rows")
     if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
-        raise ValueError(f"{path}: not a list of summary rows")
+        raise ValueError(f"{path}: not a list of rows")
     for n, row in enumerate(rows, 1):
         if None in row:  # csv.DictReader's key for the cells beyond the header
             raise ValueError(f"{path}: row {n} has more cells than the header")
@@ -167,7 +162,9 @@ def _number(path, cell: str, value) -> float:
     try:
         number = float(value)
     except (TypeError, ValueError):  # TypeError: None, the missing cell of a short row
-        raise ValueError(f"{path}: {cell}: not a number: {value!r}") from None
+        number = None
+    if number is None or isinstance(value, bool):  # float() takes a JSON true or false as 1 or 0
+        raise ValueError(f"{path}: {cell}: not a number: {value!r}")
     if math.isnan(number):
         raise ValueError(f"{path}: {cell}: NaN")
     return number

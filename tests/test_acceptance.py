@@ -58,7 +58,6 @@ def grid(tmp_path_factory):
         functions=[f"F{i}" for i in range(1, 20)],
         config=RunConfig(pop_size=40, max_iters=500, n_runs=30, base_seed=BASE_SEED),
         output_dir=out,
-        formats=("csv",),
     )
     t0 = time.monotonic()
     run_experiment(plan)
@@ -172,7 +171,6 @@ def test_criterion_7_determinism(tmp_path, report):
     plan_kwargs = dict(
         algorithms=["cddo-hs"], functions=["F16"],
         config=RunConfig(pop_size=10, max_iters=25, n_runs=2, base_seed=7),
-        formats=("csv", "json"),
     )
     outs = []
     for d in ("a", "b"):

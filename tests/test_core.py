@@ -84,8 +84,10 @@ class TestSeeds:
         cfg = RunConfig(pop_size=5, max_iters=2, base_seed=-3)
         with pytest.raises(ValueError, match="^run 2: seed -1 is not an integer >= 0$"):
             run(_toy(), cfg, run_index=2)
-        with pytest.raises(ValueError, match=r"^run 4\.5: seed 1\.5 is not an integer >= 0$"):
-            run(_toy(), cfg, run_index=4.5)
+        # the index is checked before it is added, so one that is no number names the run too
+        for index, name in ((4.5, r"4\.5"), ("1", "'1'"), (None, "None")):
+            with pytest.raises(ValueError, match=f"^run {name}: the run index is not an integer$"):
+                run(_toy(), cfg, run_index=index)
         assert run(_toy(), cfg, run_index=3).seed == 0
 
     @pytest.mark.parametrize("algo", list(ALGORITHMS))
@@ -376,7 +378,8 @@ def test_run_counters_add_up(run, func):
 
 @pytest.mark.parametrize("run", [cddo_run, cddo_hs_run], ids=lambda f: f.__name__)
 def test_f19_agents_rest(run):
-    """Agents that stop moving (ROADMAP item 3), stated with the rest counter.
+    """Agents that stop moving (ROADMAP, "Reproduction loose ends: the stall mechanism"),
+    stated with the rest counter.
 
     On F19 (Hartmann-3 on [1, 3]^3) the skill move pushes agents to the upper
     corner, where they rest for the rest of the run: CDDO and the hybrid rest

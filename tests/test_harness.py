@@ -1,12 +1,14 @@
 import csv
 import inspect
 import json
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cddohs.cli import main
+from cddohs.cli import build_parser, main
 from cddohs.core import RunConfig
 from cddohs.harness import (
     ALGORITHMS, ExperimentPlan, _write, cell_seed, compare_to_reference, load_summary,
@@ -53,16 +55,11 @@ class TestPlanValidation:
             ExperimentPlan(algorithms=["cddo", "hs"], functions=["F1"], config=one_run)
         ExperimentPlan(algorithms=["hs"], functions=["F1"], config=one_run)
 
-    def test_empty_formats(self):
-        # no format would run the whole grid and write nothing
-        with pytest.raises(ValueError, match="need at least one format"):
-            ExperimentPlan(algorithms=["hs"], functions=["F1"], config=TINY, formats=())
 
-
-@pytest.mark.parametrize("field", ["algorithms", "functions", "formats"])
+@pytest.mark.parametrize("field", ["algorithms", "functions"])
 def test_plan_rejects_a_string(field):
     # one id as a bare string would be checked letter by letter
-    ids = {"algorithms": ["hs"], "functions": ["F16"], "formats": ["csv"]}
+    ids = {"algorithms": ["hs"], "functions": ["F16"]}
     ids[field] = ids[field][0]
     with pytest.raises(ValueError, match=f"^{field} needs a list of .* ids, not the string"):
         ExperimentPlan(**ids, config=TINY)
@@ -185,7 +182,7 @@ WRITER_ROWS = [[0, 'say "hi"', "1.000000e+00", 12],
 @pytest.mark.parametrize("rows", [WRITER_ROWS, []], ids=["rows", "empty"])
 def test_writer_matches_json_dumps(tmp_path, rows):
     # as run_experiment passes its rows: an empty table has no columns
-    paths = _write(tmp_path, "t", ["csv", "json"], WRITER_HEADER, list(zip(*rows)))
+    paths = _write(tmp_path, "t", WRITER_HEADER, list(zip(*rows)))
     assert paths == [tmp_path / "t.csv", tmp_path / "t.json"]
     csv_text = "\n".join([",".join(map(str, row)) for row in [WRITER_HEADER, *rows]]) + "\n"
     json_text = json.dumps([dict(zip(WRITER_HEADER, row)) for row in rows],
@@ -278,11 +275,10 @@ class TestCli:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_run_and_compare_roundtrip(self, tmp_path, capsys, fmt):
         rc = main(["run", "--algo", "hs,cddo-hs", "--func", "F16", "--pop", "8",
-                   "--iters", "15", "--runs", "3", "--seed", "1",
-                   "--out", str(tmp_path), "--format", fmt])
+                   "--iters", "15", "--runs", "3", "--seed", "1", "--out", str(tmp_path)])
         assert rc == 0
-        assert (tmp_path / f"summary.{fmt}").exists()
-        assert len(list(tmp_path.iterdir())) == 4  # summary, pvalues, two convergence
+        # summary, pvalues and two convergence tables, each as CSV and JSON
+        assert len(list(tmp_path.iterdir())) == 8
         rc = main(["compare", "--summary", str(tmp_path / f"summary.{fmt}")])
         assert rc == 0
         assert "wins vs hs" in capsys.readouterr().out
@@ -307,16 +303,21 @@ class TestCli:
 
     @pytest.mark.parametrize("payload", ['{"algo": "hs"}', "[1, 2]", "3"])
     def test_compare_rejects_json_without_rows(self, tmp_path, capsys, payload):
-        (tmp_path / "summary.json").write_text(payload)
-        assert main(["compare", "--summary", str(tmp_path / "summary.json")]) == 1
-        assert "not a list of summary rows" in capsys.readouterr().err
+        # compare and rank read their tables with one reader, so one message fits both
+        path = tmp_path / "summary.json"
+        path.write_text(payload)
+        for command, flag in (("compare", "--summary"), ("rank", "--input")):
+            assert main([command, flag, str(path)]) == 1
+            assert capsys.readouterr().err == f"error: {path}: not a list of rows\n"
 
     @pytest.mark.parametrize("name,payload", [("summary.csv", "algo,func\n"),
                                               ("summary.json", "{}"), ("summary.json", "[]")])
     def test_compare_rejects_summary_without_rows(self, tmp_path, capsys, name, payload):
-        (tmp_path / name).write_text(payload)
-        assert main(["compare", "--summary", str(tmp_path / name)]) == 1
-        assert "no summary rows" in capsys.readouterr().err
+        path = tmp_path / name
+        path.write_text(payload)
+        for command, flag in (("compare", "--summary"), ("rank", "--input")):
+            assert main([command, flag, str(path)]) == 1
+            assert capsys.readouterr().err == f"error: {path}: no rows\n"
 
     def test_compare_names_missing_column(self, tmp_path, capsys):
         path = tmp_path / "summary.csv"
@@ -344,6 +345,9 @@ class TestCli:
         pytest.param("compare", "summary.csv", "algo,func,avg\nhs,F1,1\nhs,F1,2\n",
                      id="repeated-cell"),
         pytest.param("rank", "avgs.csv", "func\nF1\nF2\n", id="no-algorithm-column"),
+        pytest.param("rank", "avgs.json", '[{"func": "F1", "a": true, "b": 2}]', id="json-true-cell"),
+        pytest.param("compare", "summary.json", '[{"algo": "hs", "func": "F1", "avg": false}]',
+                     id="json-false-avg"),
     ])
     def test_malformed_table_names_the_file(self, tmp_path, capsys, command, name, text):
         path = tmp_path / name
@@ -353,6 +357,23 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {path}: ")
         assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_readme_commands_parse(self):
+        # every cddohs command in README.md's sh blocks, its continued lines joined,
+        # parses (argparse exits 2 on an unknown flag) without running anything
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+        commands = []
+        for line in "".join(blocks).replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            for start in range(len(words)):
+                if words[start] == "cddohs":
+                    commands.append(words[start + 1:])
+                elif words[start:start + 3] == ["python", "-m", "cddohs.cli"]:
+                    commands.append(words[start + 3:])
+        assert {args[0] for args in commands} == {"run", "compare", "rank", "list"}
+        for args in commands:
+            build_parser().parse_args(args)
 
     @pytest.mark.parametrize("reference", ["table6", "bogus"])
     def test_rank_takes_one_source(self, tmp_path, capsys, reference):
@@ -366,7 +387,7 @@ class TestCli:
     def test_run_takes_a_negative_seed(self, tmp_path, capsys):
         # each cell replaces the base seed with a non-negative cell seed
         rc = main(["run", "--algo", "hs", "--func", "F16", "--pop", "5", "--iters", "2",
-                   "--runs", "2", "--seed", "-3", "--out", str(tmp_path), "--format", "csv"])
+                   "--runs", "2", "--seed", "-3", "--out", str(tmp_path)])
         assert rc == 0
         rows = list(csv.DictReader((tmp_path / "summary.csv").read_text().splitlines()))
         assert [int(row["seed"]) for row in rows] == [cell_seed(-3, "hs", "F16")]
