@@ -3,17 +3,19 @@
 
     python3 scripts/bench_pairs.py --parent DIR --change DIR --workload W --seed S --pairs N
 
-Runs ``bench/run.py --trace 0`` (end-to-end metrics, tracing off) in two
-checkouts, N times each: pair k runs the parent first when k is odd and the
-change first when k is even. Each run's last line of standard output is
-printed as it arrives, tagged with its pair and side. At the end, for every
-end-to-end metric of the change's ``BENCHMARK.json``: each side's median and
-quartiles, and the number of pairs the change won (ties count for neither
-side). A claimed gain needs at least nine tenths of the pairs, and medians
-further apart than the parent's quartile spread. The run length is the
-``run_seconds`` of the change's ``BENCHMARK.json``, the same for both sides.
-Standard library only; the exit status is 1 if any run failed or read
-``correct`` false or ``failed`` above 0.
+First compiles ``src/`` and ``bench/`` of both checkouts (``compileall``), so
+that neither side pays for compiling in its ``setup_s`` or ``peak_rss_mb``,
+even under PYTHONDONTWRITEBYTECODE. Then runs ``bench/run.py --trace 0``
+(end-to-end metrics, tracing off) in the two checkouts, N times each: pair k
+runs the parent first when k is odd and the change first when k is even. Each
+run's last line of standard output is printed as it arrives, tagged with its
+pair and side. At the end, for every end-to-end metric of the change's
+``BENCHMARK.json``: each side's median and quartiles, and the number of pairs
+the change won (ties count for neither side). A claimed gain needs at least
+nine tenths of the pairs, and medians further apart than the parent's quartile
+spread. The run length is the ``run_seconds`` of the change's
+``BENCHMARK.json``, the same for both sides. Standard library only; the exit
+status is 1 if any run failed or read ``correct`` false or ``failed`` above 0.
 """
 
 from __future__ import annotations
@@ -40,6 +42,13 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
+def compile_checkout(checkout: Path) -> None:
+    """Write the bytecode of ``src/`` and ``bench/`` in ``checkout``."""
+    cmd = [sys.executable, "-m", "compileall", "-q", "src", "bench"]
+    if subprocess.run(cmd, cwd=checkout).returncode != 0:
+        raise SystemExit(f"{checkout}: {' '.join(cmd)} failed")
+
+
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     """(first quartile, median, third quartile)."""
     if len(values) < 2:
@@ -61,6 +70,9 @@ def main(argv=None) -> int:
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     checkouts = {"parent": args.parent, "change": args.change}
+    for side in SIDES:
+        compile_checkout(checkouts[side])
+        print(f"compiled src/ and bench/ of the {side}, {checkouts[side]}", flush=True)
     results: dict[str, list[dict]] = {side: [] for side in SIDES}
     for k in range(1, args.pairs + 1):
         for side in SIDES if k % 2 else SIDES[::-1]:

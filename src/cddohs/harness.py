@@ -151,6 +151,9 @@ def _rows(path, *columns: str) -> list[dict]:
     for n, row in enumerate(rows, 1):
         if None in row:  # csv.DictReader's key for the cells beyond the header
             raise ValueError(f"{path}: row {n} has more cells than the header")
+        nested = [c for c, v in row.items() if isinstance(v, (list, dict))]
+        if nested:  # a JSON list or object: not a number, nor an id to key on
+            raise ValueError(f"{path}: row {n}: {nested[0]!r}: not a number or a string")
         missing = [c for c in columns if c not in row]
         if missing:
             raise ValueError(f"{path}: no {missing[0]!r} column")

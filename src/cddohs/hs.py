@@ -26,15 +26,13 @@ class HarmonyMemory(Archive):
 
 class Draws(NamedTuple):
     """The choices of n improvisations, row t for improvisation t: arrays of
-    (n, d), and two flag lists of n Python bools, computed once per block."""
+    (n, d), and a flag list of n Python bools, computed once per block."""
 
-    take: np.ndarray    # copy the component from memory (prob HMCR), else redraw
-    source: np.ndarray  # the memory entry it copies: row * d + column, flat in (m, d)
-    adjust: np.ndarray  # nudge the copy (prob PAR)
-    nudge: np.ndarray   # uniform(-1, 1) * BW
+    source: np.ndarray  # the memory entry a component copies: row * d + column, flat in (m, d)
+    shift: np.ndarray   # added to the copy: uniform(-1, 1) * BW (prob PAR), else -0.0
+    fresh: np.ndarray   # redraw the component (prob 1 - HMCR) instead of the copy
     redraw: np.ndarray  # uniform in the box
-    nudges: list[bool]  # improvisation t nudges a component: adjust[t].any()
-    redraws: list[bool]  # improvisation t redraws a component: (~take[t]).any()
+    redraws: list[bool]  # improvisation t redraws a component: fresh[t].any()
 
 
 def draw(rng, n: int, m: int, problem: Problem) -> Draws:
@@ -48,11 +46,13 @@ def choices(u: np.ndarray, m: int, problem: Problem) -> Draws:
     uniforms u (n, 4, d). Block t's rows are the HMCR test, the memory row, the
     PAR test, and the nudge or the redraw (a component takes at most one of them)."""
     d = problem.dim
-    take, adjust = u[:, 0] <= HMCR, u[:, 2] <= PAR
-    return Draws(take=take, source=indices(u[:, 1], m) * d + np.arange(d), adjust=adjust,
-                 nudge=scale(u[:, 3], -1.0, 1.0) * BW,
-                 redraw=scale(u[:, 3], problem.lower, problem.upper),
-                 nudges=adjust.any(1).tolist(), redraws=(~take).any(1).tolist())
+    fresh = u[:, 0] > HMCR
+    # adding -0.0 leaves every float as it is, -0.0 too, so a component PAR
+    # does not nudge needs no branch
+    return Draws(source=indices(u[:, 1], m) * d + np.arange(d),
+                 shift=np.where(u[:, 2] <= PAR, scale(u[:, 3], -1.0, 1.0) * BW, -0.0),
+                 fresh=fresh, redraw=scale(u[:, 3], problem.lower, problem.upper),
+                 redraws=fresh.any(1).tolist())
 
 
 def improvise(positions: np.ndarray, draws: Draws, t: int, problem: Problem) -> np.ndarray:
@@ -60,13 +60,11 @@ def improvise(positions: np.ndarray, draws: Draws, t: int, problem: Problem) -> 
 
     Each component: with prob HMCR copy it from a random row (then with prob
     PAR nudge it by uniform(-1,1)*BW), otherwise redraw uniformly in bounds.
-    A masked copy runs only when its flag (``nudges[t]``, ``redraws[t]``) is set.
+    The redraw's masked copy runs only when ``redraws[t]`` is set.
     """
-    memory = positions.take(draws.source[t])  # a fresh row, so the copies write into it
-    if draws.nudges[t]:
-        np.copyto(memory, memory + draws.nudge[t], where=draws.adjust[t])
+    memory = positions.take(draws.source[t]) + draws.shift[t]  # a fresh row
     if draws.redraws[t]:
-        np.copyto(memory, draws.redraw[t], where=~draws.take[t])
+        np.copyto(memory, draws.redraw[t], where=draws.fresh[t])
     return clamp(memory, problem)
 
 

@@ -5,16 +5,14 @@ from __future__ import annotations
 
 from . import hs
 from .cddo import CddoState, _run_engine
-from .core import Archive, Problem, RunConfig, RunResult
+from .core import Problem, RunConfig, RunResult
 
 PM_FRACTION = 0.8
 
 
-def _improvise_refresh(pm: Archive, problem: Problem, draws: hs.Draws, t: int, rng):
-    """One HS iteration over the PM from improvisation t of ``draws``;
-    (kept, position, fitness). Its own name, so that a wrapper set on
-    ``hybrid._improvise_refresh`` sees every refresh."""
-    return hs.iterate(pm, problem, draws, t, rng)
+# One HS iteration over the PM; a name of its own, so that a wrapper set on
+# ``hybrid._improvise_refresh`` sees every refresh and no HS iteration.
+_improvise_refresh = hs.iterate
 
 
 def _refresh(state: CddoState, problem: Problem, draws: hs.Draws, t: int, rng) -> None:

@@ -76,12 +76,9 @@ def wilcoxon_rank_sum(a, b) -> float:
     sd = math.sqrt(correction * n1 * n2 * (n + 1) / 12.0)
 
     z = max((deviation - 0.5) / sd, 0.0)
-    p = 2.0 * (1.0 - _norm_cdf(z))
+    # the two-sided normal tail, 2(1 - Phi(z)), without the cancellation of 1 - Phi(z)
+    p = math.erfc(z / math.sqrt(2.0))
     return min(max(p, np.nextafter(0.0, 1.0)), 1.0)
-
-
-def _norm_cdf(z: float) -> float:
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
 
 
 @dataclass(frozen=True)

@@ -348,6 +348,9 @@ class TestCli:
         pytest.param("rank", "avgs.json", '[{"func": "F1", "a": true, "b": 2}]', id="json-true-cell"),
         pytest.param("compare", "summary.json", '[{"algo": "hs", "func": "F1", "avg": false}]',
                      id="json-false-avg"),
+        pytest.param("rank", "avgs.json", '[{"func": [1], "a": 1, "b": 2}]', id="json-list-id"),
+        pytest.param("compare", "summary.json", '[{"algo": {}, "func": "F1", "avg": 1}]',
+                     id="json-object-id"),
     ])
     def test_malformed_table_names_the_file(self, tmp_path, capsys, command, name, text):
         path = tmp_path / name

@@ -84,34 +84,34 @@ class TestImprovise:
 
 
 @pytest.mark.parametrize("dim", [2, 10, 30])
-def test_skipped_selects_change_nothing(dim):
-    # improvise skips a select whose flag is unset; both selects, always run,
-    # give the same vector bit for bit. The memory holds -0.0 at a lower
-    # bound of 0.0 (the clamp keeps its sign) and rows at both bounds.
+def test_improvise_matches_its_uniforms(dim):
+    # each component from its uniforms alone: copy when u0 <= HMCR, adding
+    # (2*u3 - 1)*BW when u2 <= PAR, otherwise lo + (hi - lo)*u3; bit for bit.
+    # The memory holds -0.0 at a lower bound of 0.0 (the clamp keeps its sign)
+    # and rows at both bounds.
     p = _problem(dim=dim, lower=0.0, upper=1.0)
     rng = make_rng(dim)
     positions = np.vstack([rng.random((3, dim)), np.full((1, dim), -0.0),
                            np.zeros((1, dim)), np.ones((1, dim))])
-    # hand-built improvisations: neither flag, a nudge only, a redraw only, both
-    u = rng.random((4, 4, dim))
-    u[:, 0], u[:, 2] = 0.0, 1.0  # copy every component, nudge none
-    u[1, 2, 0] = u[3, 2, 0] = 0.0
-    u[2, 0, -1] = u[3, 0, -1] = 1.0
-    forced = choices(u, len(positions), p)
-    assert forced.nudges == [False, True, False, True]
-    assert forced.redraws == [False, False, True, True]
-    for draws in (forced, draw(rng, 300, len(positions), p)):
-        for t in range(len(draws.take)):
-            m = positions.take(draws.source[t])
-            full = np.where(draws.take[t], np.where(draws.adjust[t], m + draws.nudge[t], m),
-                            draws.redraw[t])
-            assert improvise(positions, draws, t, p).tobytes() == clamp(full, p).tobytes()
-        assert draws.nudges == draws.adjust.any(1).tolist()
-        assert draws.redraws == (~draws.take).any(1).tolist()
+    m = len(positions)
+    # hand-built improvisations: neither a nudge nor a redraw, a nudge only, a redraw only, both
+    hand = rng.random((4, 4, dim))
+    hand[:, 0], hand[:, 2] = 0.0, 1.0  # copy every component, nudge none
+    hand[1, 2, 0] = hand[3, 2, 0] = 0.0
+    hand[2, 0, -1] = hand[3, 0, -1] = 1.0
+    for u in (hand, rng.random((300, 4, dim))):
+        draws = choices(u, m, p)
+        assert draws.redraws == (u[:, 0] > hs.HMCR).any(1).tolist()
+        for t, (u0, u1, u2, u3) in enumerate(u):
+            copy = positions[np.minimum((u1 * m).astype(int), m - 1), np.arange(dim)]
+            nudged = np.where(u2 <= hs.PAR, copy + (2.0 * u3 - 1.0) * hs.BW, copy)
+            want = np.where(u0 <= hs.HMCR, nudged, p.lower + (p.upper - p.lower) * u3)
+            assert improvise(positions, draws, t, p).tobytes() == clamp(want, p).tobytes()
+    assert choices(hand, m, p).redraws == [False, False, True, True]
 
 
 def test_improvise_writes_only_into_its_own_row():
-    # improvise's masked copies write into the row it gathers, never into the
+    # improvise's masked copy writes into the row it builds, never into the
     # block's draws or the memory
     p = make_function("F13")  # dim 30: most improvisations nudge, about one in seven redraws
     rng = make_rng(13)
@@ -123,7 +123,7 @@ def test_improvise_writes_only_into_its_own_row():
         improvise(hm.x, draws, t, p)
         assert hm.x.tobytes() == positions.tobytes()
         iterate(hm, p, draws, t, rng)
-    assert any(draws.nudges) and any(draws.redraws)
+    assert any(draws.redraws)
     for now, was in zip(draws, before):
         assert np.asarray(now).tobytes() == was.tobytes()
 

@@ -116,7 +116,13 @@ class TestWilcoxon:
         # pins its bits, so a change to midranks or tie counts shows up
         a = [0, 0, 1, 1, 1, 2, 3, 3, 5, 7]
         b = [2, 3, 3, 4, 4, 4, 6, 7, 7, 7]
-        assert wilcoxon_rank_sum(a, b) == 0.01969887959945682
+        assert wilcoxon_rank_sum(a, b) == 0.019698879599456966
+
+    def test_approximation_tail_keeps_its_digits(self):
+        # far in the tail, 2(1 - Phi(z)) cancels; the asymptotic Mann-Whitney
+        # p-value (scipy's mannwhitneyu) of thirty zeros against 1..30 is 1.211780e-12
+        p = wilcoxon_rank_sum([0] * 30, range(1, 31))
+        assert p == pytest.approx(1.2117803970059759e-12, rel=1e-9, abs=0.0)
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
