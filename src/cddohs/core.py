@@ -30,7 +30,8 @@ class Problem:
 
     ``objective`` takes one point (d,) and returns a float, or rows (n, d) and
     returns (n,), row i bit for bit the one-point value: CDDO evaluates a
-    step's moving agents, and every run its initial population, in one call.
+    step's moving agents, HS a look-ahead of improvisations, and every run
+    its initial population, in one call.
     Stochastic objectives additionally take the run's RNG and draw their
     noise from it once per point, in row order. Call it through
     :func:`evaluate` or :func:`evaluate_rows`.
@@ -60,6 +61,7 @@ class Archive:
 
     x: np.ndarray
     f: np.ndarray
+    replaced = -1  # the row the last accepted replace_worst overwrote
 
     @classmethod
     def best_of(cls, x: np.ndarray, f: np.ndarray, k: int) -> "Archive":
@@ -73,6 +75,7 @@ class Archive:
         if fitness < self.f[w]:
             self.x[w] = position
             self.f[w] = fitness
+            self.replaced = w
             return True
         return False
 

@@ -3,8 +3,8 @@ import pytest
 
 from cddohs.benchmarks import make_function
 from cddohs.core import Problem, RunConfig, clamp, init_population, make_rng
-from cddohs import hs
-from cddohs.hs import HarmonyMemory, choices, draw, hs_run, improvise, iterate
+from cddohs import core, hs
+from cddohs.hs import HarmonyMemory, choices, copies, draw, hs_run, improvise, iterate
 
 
 def _problem(dim=4, lower=-1.0, upper=1.0):
@@ -72,9 +72,7 @@ class TestImprovise:
         n, block = 100_000, 1000
         mem = pitch = 0
         for _ in range(n // block):
-            draws = draw(rng, block, 1, p)
-            for t in range(block):
-                v = improvise(rows, draws, t, p)[0]
+            for v in improvise(rows, draw(rng, block, 1, p), slice(0, block), p)[:, 0]:
                 if abs(v) <= 1e-6:
                     mem += 1
                     if v != 0.0:
@@ -86,9 +84,10 @@ class TestImprovise:
 @pytest.mark.parametrize("dim", [2, 10, 30])
 def test_improvise_matches_its_uniforms(dim):
     # each component from its uniforms alone: copy when u0 <= HMCR, adding
-    # (2*u3 - 1)*BW when u2 <= PAR, otherwise lo + (hi - lo)*u3; bit for bit.
-    # The memory holds -0.0 at a lower bound of 0.0 (the clamp keeps its sign)
-    # and rows at both bounds.
+    # (2*u3 - 1)*BW when u2 <= PAR, otherwise lo + (hi - lo)*u3; bit for bit,
+    # one improvisation at a time and over slices of them. The memory holds
+    # -0.0 at a lower bound of 0.0 (the clamp keeps its sign) and rows at both
+    # bounds.
     p = _problem(dim=dim, lower=0.0, upper=1.0)
     rng = make_rng(dim)
     positions = np.vstack([rng.random((3, dim)), np.full((1, dim), -0.0),
@@ -102,11 +101,16 @@ def test_improvise_matches_its_uniforms(dim):
     for u in (hand, rng.random((300, 4, dim))):
         draws = choices(u, m, p)
         assert draws.redraws == (u[:, 0] > hs.HMCR).any(1).tolist()
+        wants = []
         for t, (u0, u1, u2, u3) in enumerate(u):
             copy = positions[np.minimum((u1 * m).astype(int), m - 1), np.arange(dim)]
             nudged = np.where(u2 <= hs.PAR, copy + (2.0 * u3 - 1.0) * hs.BW, copy)
             want = np.where(u0 <= hs.HMCR, nudged, p.lower + (p.upper - p.lower) * u3)
-            assert improvise(positions, draws, t, p).tobytes() == clamp(want, p).tobytes()
+            wants.append(clamp(want, p))
+            assert improvise(positions, draws, t, p).tobytes() == wants[t].tobytes()
+        for start in range(len(u)):  # slices that do and do not hold a redraw
+            ts = slice(start, start + hs.AHEAD)
+            assert improvise(positions, draws, ts, p).tobytes() == np.array(wants[ts]).tobytes()
     assert choices(hand, m, p).redraws == [False, False, True, True]
 
 
@@ -120,7 +124,7 @@ def test_improvise_writes_only_into_its_own_row():
     before = [np.copy(a) for a in draws]
     for t in range(500):
         positions = hm.x.copy()
-        improvise(hm.x, draws, t, p)
+        improvise(hm.x, draws, slice(t, t + hs.AHEAD), p)
         assert hm.x.tobytes() == positions.tobytes()
         iterate(hm, p, draws, t, rng)
     assert any(draws.redraws)
@@ -149,31 +153,90 @@ class TestHsRun:
         assert (hs.HMCR, hs.PAR, hs.BW) == (0.995, 0.1, 0.04)
 
 
-@pytest.mark.parametrize("func", ["F1", "F9", "F16"])
+@pytest.mark.parametrize("m", [1, 40, 64, 65, 130])
+def test_copies_names_the_rows_each_improvisation_copies(m):
+    p = _problem(dim=3)
+    draws = draw(make_rng(m), 200, m, p)
+    want = [sum(1 << r for r in set((source // p.dim).tolist())) for source in draws.source]
+    assert copies(draws, m, p.dim) == want
+
+
+@pytest.mark.parametrize("func", ["F1", "F7", "F9", "F13", "F14", "F16"])
 def test_blocks_change_nothing(func, monkeypatch):
-    # A run draws BLOCK iterations at a time; a reference loop that draws one
-    # improvisation at a time, and reads the memory's best each iteration,
-    # reaches the same run bit for bit across two block boundaries.
+    # A run draws BLOCK iterations at a time and improvises AHEAD of them at
+    # once. A reference loop that improvises, evaluates and keeps one vector at
+    # a time, and reads the memory's best each iteration, reaches the same run
+    # bit for bit across two block boundaries and a last block of 107
+    # iterations, which ends in a part of a look-ahead. It draws one
+    # improvisation at a time, except for F7: F7's noise follows each block's
+    # uniforms, so its reference draws whole blocks.
     p = make_function(func)
     cfg = RunConfig(pop_size=10, max_iters=2 * hs.BLOCK + 107, base_seed=11)
+    assert (cfg.max_iters - 2 * hs.BLOCK) % hs.AHEAD
     rng = make_rng(cfg.seed_for_run(0))
     hm = HarmonyMemory(*init_population(p, cfg.pop_size, rng))
     trace, accepts = [], 0
-    for _ in range(cfg.max_iters):
-        accepts += iterate(hm, p, draw(rng, 1, cfg.pop_size, p), 0, rng)[0]
-        trace.append(hm.f.min())
+    for start in range(0, cfg.max_iters, hs.BLOCK):
+        n = min(hs.BLOCK, cfg.max_iters - start)
+        block = draw(rng, n, cfg.pop_size, p) if p.stochastic else None
+        for t in range(n):
+            draws, i = (block, t) if p.stochastic else (draw(rng, 1, cfg.pop_size, p), 0)
+            accepts += iterate(hm, p, draws, i, rng)[0]
+            trace.append(hm.f.min())
     best = int(np.argmin(hm.f))
 
-    sizes = []
+    sizes, rows = [], []
 
-    def spy(rng, n, m, problem):
+    def spy_draw(rng, n, m, problem):
         sizes.append(n)
         return draw(rng, n, m, problem)
 
-    monkeypatch.setattr(hs, "draw", spy)
+    evaluate_rows = core.evaluate_rows
+
+    def spy_rows(problem, x, rng=None):
+        rows.append(len(x))
+        return evaluate_rows(problem, x, rng)
+
+    monkeypatch.setattr(hs, "draw", spy_draw)
+    monkeypatch.setattr(core, "evaluate_rows", spy_rows)
     r = hs_run(p, cfg)
     assert r.trace.tobytes() == np.array(trace).tobytes()
     assert r.best_position.tobytes() == hm.x[best].tobytes()
     assert r.best_fitness == hm.f[best]
     assert r.hm_accepts == accepts
+    assert r.evals == cfg.pop_size + cfg.max_iters
     assert max(sizes) <= hs.BLOCK and sum(sizes) == cfg.max_iters
+    # improvisations evaluated ahead, and rows past a cut left unkept
+    assert len(rows) < cfg.max_iters and sum(rows) > cfg.pop_size + cfg.max_iters
+
+
+def test_nan_past_a_cut_does_not_raise(monkeypatch):
+    # A row evaluated past a cut copies a row the walk replaced; the
+    # one-at-a-time loop builds that improvisation from the new row instead,
+    # so the stale row's NaN is never a result.
+    p = _problem(dim=4)
+    cfg = RunConfig(pop_size=10, max_iters=60, base_seed=5)
+    rng = make_rng(cfg.seed_for_run(0))
+    hm = HarmonyMemory(*init_population(p, cfg.pop_size, rng))
+    draws = draw(rng, cfg.max_iters, cfg.pop_size, p)
+    loop = [iterate(hm, p, draws, t, rng)[1].tolist() for t in range(cfg.max_iters)]
+
+    evaluated, evaluate_rows = [], core.evaluate_rows
+
+    def recorded(problem, x, rng=None):
+        evaluated.extend(x.tolist())
+        return evaluate_rows(problem, x, rng)
+
+    monkeypatch.setattr(core, "evaluate_rows", recorded)
+    finite = hs_run(p, cfg)
+    stale = next(x for x in evaluated[cfg.pop_size:] if x not in loop)
+
+    def objective(x):
+        return np.where(np.all(x == stale, axis=-1), np.nan, np.sum(x * x, axis=-1))
+
+    evaluated.clear()
+    nan_at_stale = hs_run(Problem(id="nan", dim=4, lower=-1.0, upper=1.0, objective=objective), cfg)
+    assert stale in evaluated
+    assert nan_at_stale.trace.tobytes() == finite.trace.tobytes()
+    assert nan_at_stale.best_position.tobytes() == finite.best_position.tobytes()
+    assert nan_at_stale.hm_accepts == finite.hm_accepts

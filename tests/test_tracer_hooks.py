@@ -3,14 +3,15 @@
 ``bench/tracing.py`` replaces module attributes of cddohs with timed wrappers.
 A rename or a call that binds a function at import time silently leaves a
 span empty, so this runs a small grid under the tracer and checks that every
-span records calls, that ``hs.improvise`` records every improvisation, and
-that the accept counts it reads off the wrapped calls equal the run counters.
+span records calls, that ``hs.improvise`` records every call that HS and the
+hybrid's refresh make, and that the accept counts it reads off the wrapped
+calls equal the run counters.
 """
 
 import sys
 from pathlib import Path
 
-from cddohs import harness
+from cddohs import harness, hs
 from cddohs.core import RunConfig
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -20,7 +21,25 @@ SPANS = {name for _, _, name in TARGETS} | {"hs.replace_worst", "hybrid.refresh"
                                             "benchmarks.objective"}
 
 
-def test_every_hook_records_and_counts_accepts(tmp_path):
+def _walks_cover(starts, iters):
+    """Walks that start at ``starts`` (one run's, in order), each improvising
+    AHEAD iterations, keep every iteration 0 .. iters - 1 once: each walk
+    keeps up to where the next starts, and the last up to the end."""
+    return (starts[0] == 0 and all(a < b <= a + hs.AHEAD for a, b in zip(starts, starts[1:]))
+            and starts[-1] < iters <= starts[-1] + hs.AHEAD)
+
+
+def test_every_hook_records_and_counts_accepts(tmp_path, monkeypatch):
+    # every call's t, recorded beneath the tracer's wrapper: the hybrid's
+    # refresh (hs.iterate) improvises one vector, an index t; HS a slice
+    improvised = []
+    improvise = hs.improvise
+
+    def recorded(positions, draws, t, problem):
+        improvised.append(t)
+        return improvise(positions, draws, t, problem)
+
+    monkeypatch.setattr(hs, "improvise", recorded)
     results = []
     tracer = Tracer()
     tracer.install()
@@ -43,8 +62,20 @@ def test_every_hook_records_and_counts_accepts(tmp_path):
 
     assert {name for name in SPANS if totals.get(name, {}).get("count", 0) == 0} == set()
     assert len(results) == 3 * 3 * 2
-    # one improvisation per HS iteration and per hybrid refresh: 2 runs x 3
-    # functions x 10 iterations for each of the two, none for CDDO
-    assert totals["hs.improvise"]["count"] == 2 * 3 * 10 * 2
+    # 2 runs x 3 functions x 10 iterations: one vector per hybrid refresh,
+    # and HS slices of AHEAD whose walks keep each HS iteration once; none for CDDO
+    refresh = [t for t in improvised if isinstance(t, int)]
+    ahead = [t.start for t in improvised if isinstance(t, slice) and t.stop - t.start == hs.AHEAD]
+    assert len(refresh) + len(ahead) == len(improvised)
+    assert len(refresh) == totals["hybrid.refresh"]["count"] == 2 * 3 * 10
+    runs = []  # each HS run's walks; a run's first walk starts at 0
+    for start in ahead:
+        if start == 0:
+            runs.append([])
+        runs[-1].append(start)
+    assert len(runs) == 2 * 3 and all(_walks_cover(run, 10) for run in runs)
+    assert totals["hs.improvise"]["count"] == len(refresh) + len(ahead)
+    # HS offers the memory only the rows it keeps: one per iteration
+    assert totals["hs.replace_worst"]["count"] == 2 * 3 * 10
     assert totals["hs.replace_worst"]["accepted"] == sum(r.hm_accepts for r in results)
     assert totals["hybrid.refresh"]["accepted"] == sum(r.refresh_accepts for r in results)
