@@ -2,7 +2,7 @@
 
 F1-F7 are unimodal, F8-F13 multimodal, F14-F19 fixed-dimension multimodal.
 All functions are minimization targets on a uniform box; F7 is the only
-stochastic one (additive uniform[0,1) noise drawn from the caller's RNG).
+stochastic one (core adds uniform [0, 1) noise from the caller's RNG to its quartic).
 """
 
 from __future__ import annotations
@@ -83,14 +83,9 @@ def f6_step(x):
     return np.add.reduce(np.floor(x + 0.5) ** 2, -1)
 
 
-def f7_deterministic_part(x):
+def f7_quartic(x):
     i = np.arange(1, x.shape[-1] + 1)
     return np.add.reduce(i * x ** 4, -1)
-
-
-def f7_quartic_noise(x, rng):
-    # one draw per point, in row order: n rows draw as n single points would
-    return f7_deterministic_part(x) + rng.random(x.shape[:-1] or None)
 
 
 def f8_schwefel(x):
@@ -212,7 +207,7 @@ SPECS: dict[str, BenchmarkSpec] = {
         BenchmarkSpec("F4", 10, -100.0, 100.0, f4_max_abs, family=_U, f_min=0.0, minimizer=(0.0,) * 10),
         BenchmarkSpec("F5", 10, -30.0, 30.0, f5_rosenbrock, family=_U, f_min=0.0, minimizer=(1.0,) * 10),
         BenchmarkSpec("F6", 10, -100.0, 100.0, f6_step, family=_U, f_min=0.0, minimizer=(0.0,) * 10),
-        BenchmarkSpec("F7", 10, -1.28, 1.28, f7_quartic_noise, stochastic=True, family=_U, f_min=0.0),
+        BenchmarkSpec("F7", 10, -1.28, 1.28, f7_quartic, stochastic=True, family=_U, f_min=0.0),
         # Schwefel at dim 30: global min -418.9829*dim at x_i = 420.9687
         BenchmarkSpec("F8", 30, -500.0, 500.0, f8_schwefel, family=_M, f_min=-12569.487,
                       minimizer=(420.9687,) * 30),

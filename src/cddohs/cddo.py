@@ -146,9 +146,9 @@ def cddo_step(state: CddoState, problem: Problem, draws: Draws, t: int, rng) -> 
     the first one that is not >= gbest (it improves gbest, or is NaN): every
     kept row was built with the gbest its agent would have seen. At that row
     gbest is updated, and the candidates of the agents after it are rebuilt
-    and evaluated in one more call. A stochastic objective draws one noise
-    value per row of a call, in row order, so at a cut the generator is set
-    back and the kept rows are evaluated again, drawing what the loop draws.
+    and evaluated in one more call. A stochastic problem draws one noise
+    value per row, in row order, so the rows past a cut give their draws back
+    (:func:`core.give_back`) and the generator draws what the loop draws.
     ``evals`` counts one evaluation per mover.
     """
     x, lbest_x = state.x, state.lbest_x
@@ -175,14 +175,10 @@ def cddo_step(state: CddoState, problem: Problem, draws: Draws, t: int, rng) -> 
     j = 0  # movers before j have their agent-by-agent candidate and fitness
     while j < len(movers):
         new[j:] = clamp(a[j:] + b[j:] * (state.gbest_x - z[j:]), problem)
-        if problem.stochastic:
-            before = rng.bit_generator.state
         f = core.evaluate_rows(problem, new[j:], rng)
         stop = (~(f >= state.gbest_f)).nonzero()[0]
         n = stop[0] + 1 if len(stop) else len(f)  # rows kept
-        if problem.stochastic and n < len(f):
-            rng.bit_generator.state = before
-            f = core.evaluate_rows(problem, new[j:j + n], rng)
+        core.give_back(problem, rng, len(f) - n)
         fit[movers[j:j + n]] = f[:n]
         j += n
         if len(stop):

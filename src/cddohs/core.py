@@ -31,10 +31,9 @@ class Problem:
     ``objective`` takes one point (d,) and returns a float, or rows (n, d) and
     returns (n,), row i bit for bit the one-point value: CDDO evaluates a
     step's moving agents, HS a look-ahead of improvisations, and every run
-    its initial population, in one call.
-    Stochastic objectives additionally take the run's RNG and draw their
-    noise from it once per point, in row order. Call it through
-    :func:`evaluate` or :func:`evaluate_rows`.
+    its initial population, in one call. It is never passed the generator: a
+    stochastic problem's value is ``objective(x)`` plus one ``rng.random()`` per
+    point, in row order, drawn by :func:`evaluate` and :func:`evaluate_rows`.
     """
 
     id: str
@@ -149,18 +148,20 @@ def nan_error(problem: Problem) -> ValueError:
     return ValueError(f"{problem.id}: objective returned NaN")
 
 
-def _call(problem: Problem, x: np.ndarray, rng: Optional[np.random.Generator]):
+def _value(problem: Problem, x: np.ndarray, rng: Optional[np.random.Generator]):
+    value = problem.objective(x)
     if problem.stochastic:
         if rng is None:
             raise ValueError(f"{problem.id} is stochastic and needs an RNG")
-        return problem.objective(x, rng)
-    return problem.objective(x)
+        # one draw per point, in row order: n rows draw as n single points would
+        value = value + rng.random(x.shape[:-1] or None)
+    return value
 
 
 def evaluate(problem: Problem, position: np.ndarray, rng: Optional[np.random.Generator] = None) -> float:
-    """The objective at one point (d,); stochastic objectives draw their noise
-    from rng. NaN raises (see :func:`nan_error`)."""
-    value = float(_call(problem, position, rng))
+    """The value at one point (d,); a stochastic problem draws its noise from
+    rng. NaN raises (see :func:`nan_error`)."""
+    value = float(_value(problem, position, rng))
     if math.isnan(value):
         raise nan_error(problem)
     return value
@@ -168,18 +169,27 @@ def evaluate(problem: Problem, position: np.ndarray, rng: Optional[np.random.Gen
 
 def evaluate_rows(problem: Problem, rows: np.ndarray,
                   rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """The objective at each row of rows (n, d), from one call: (n,) floats.
+    """The value at each row of rows (n, d), from one objective call: (n,) floats.
 
     NaN is returned, not raised: a caller that keeps only some of the rows
-    checks those (see :func:`nan_error`).
+    checks those (see :func:`nan_error`), and gives the rest back (see
+    :func:`give_back`).
     """
     # C order: numpy reduces the last axis of another layout in another order,
     # so row values could differ from the one-point values in the last bit
-    values = np.asarray(_call(problem, np.ascontiguousarray(rows), rng), dtype=float)
+    values = np.asarray(_value(problem, np.ascontiguousarray(rows), rng), dtype=float)
     if values.shape != (len(rows),):
         raise ValueError(f"{problem.id}: objective returned shape {values.shape} for "
                          f"{len(rows)} rows; it must map rows (n, d) to values (n,)")
     return values
+
+
+def give_back(problem: Problem, rng: np.random.Generator, rows) -> None:
+    """Give back the noise of the last ``rows`` rows evaluated: a stochastic problem
+    steps its PCG64 generator back ``rows`` draws (2**128 is its period)."""
+    rows = int(rows)  # 2**128 - a numpy integer overflows
+    if problem.stochastic and rows:
+        rng.bit_generator.advance(2 ** 128 - rows)
 
 
 def init_population(problem: Problem, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

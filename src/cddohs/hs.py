@@ -98,7 +98,7 @@ def improvise(positions: np.ndarray, draws: Draws, t: int | slice, problem: Prob
 def iterate(memory: Archive, problem: Problem, draws: Draws, t: int,
             rng) -> tuple[bool, np.ndarray, float]:
     """One standard HS iteration (the hybrid's PM refresh): improvise
-    ``draws``' vector t, evaluate it (F7 draws its noise from rng), keep it if
+    ``draws``' vector t, evaluate it (F7's noise is drawn from rng), keep it if
     it beats the worst row; (kept, position, fitness)."""
     position = improvise(memory.x, draws, t, problem)
     fitness = evaluate(problem, position, rng)
@@ -108,10 +108,10 @@ def iterate(memory: Archive, problem: Problem, draws: Draws, t: int,
 def hs_run(problem: Problem, config: RunConfig, run_index: int = 0) -> RunResult:
     """One full HS run; run r uses seed base_seed + r; evals == pop_size + max_iters.
 
-    Rows evaluated past a cut are not counted. A stochastic objective draws one
-    noise value per row, in row order, so at a cut the generator is set back
-    and the kept rows are evaluated again, drawing what the one-at-a-time loop
-    draws. NaN raises only in a kept row.
+    Rows evaluated past a cut are not counted. A stochastic problem draws one
+    noise value per row, in row order, so those rows give their draws back
+    (:func:`core.give_back`) and the generator draws what the one-at-a-time
+    loop draws. NaN raises only in a kept row.
     """
     seed = config.seed_for_run(run_index)
     rng = make_rng(seed)
@@ -128,8 +128,6 @@ def hs_run(problem: Problem, config: RunConfig, run_index: int = 0) -> RunResult
         while t < n:
             walk = t
             ahead = improvise(hm.x, draws, slice(walk, walk + AHEAD), problem)
-            if problem.stochastic:
-                before = rng.bit_generator.state
             fitness = core.evaluate_rows(problem, ahead, rng).tolist()
             replaced = 0  # the rows replaced in this walk, as bits
             for position, f in zip(ahead, fitness):
@@ -143,9 +141,7 @@ def hs_run(problem: Problem, config: RunConfig, run_index: int = 0) -> RunResult
                     best_f = min(best_f, f)
                 trace[start + t] = best_f
                 t += 1
-            if problem.stochastic and t - walk < len(fitness):
-                rng.bit_generator.state = before
-                core.evaluate_rows(problem, ahead[:t - walk], rng)
+            core.give_back(problem, rng, len(fitness) - (t - walk))
     best = int(np.argmin(hm.f))
     return RunResult(
         best_fitness=float(hm.f[best]),

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +47,11 @@ class TestRegistry:
 
     def test_only_f7_is_stochastic(self):
         assert [f for f in FUNCTION_IDS if SPECS[f].stochastic] == ["F7"]
+
+    def test_objectives_take_x_only(self):
+        # core draws F7's noise: no objective is passed the generator
+        for f in FUNCTION_IDS:
+            assert list(inspect.signature(SPECS[f].objective).parameters) == ["x"], f
 
     def test_unknown_id_rejected(self):
         with pytest.raises(KeyError, match="unknown"):
@@ -157,7 +164,7 @@ class TestProperties:
         rng = make_rng(11)
         for _ in range(100):
             x = _random_input("F7", rng)
-            det = benchmarks.f7_deterministic_part(x)
+            det = benchmarks.f7_quartic(x)
             v = evaluate_at("F7", x, rng=rng)
             assert det <= v <= det + 1.0
 
@@ -193,15 +200,8 @@ class TestRowContract:
         x = data.draw(hnp.arrays(np.float64, (2 * n, s.dim),
                                  elements=st.floats(s.lower, s.upper)), label="x")
         pick = data.draw(st.permutations(range(2 * n)), label="pick")[:n]
-        seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
         for rows in (x[:n], x, x[::2], x[pick]):  # contiguous, strided, fancy-indexed
-            if s.stochastic:
-                batch_rng, point_rng = make_rng(seed), make_rng(seed)
-                batch = s.objective(rows, batch_rng)
-                points = [s.objective(row, point_rng) for row in rows]
-                assert batch_rng.random() == point_rng.random()  # the same draws
-            else:
-                batch, points = s.objective(rows), [s.objective(row) for row in rows]
+            batch, points = s.objective(rows), [s.objective(row) for row in rows]
             assert batch.shape == (len(rows),)
             assert np.array_equal(_bits(batch), _bits(points)), fid
 
@@ -222,7 +222,7 @@ class TestRowContract:
     def test_f7_rows_draw_as_successive_points(self, n, seed):
         x = _random_input("F7", make_rng(seed)) * np.ones((n, 1))
         batch_rng, point_rng = make_rng(seed), make_rng(seed)
-        batch = benchmarks.f7_quartic_noise(x, batch_rng)
+        batch = evaluate_rows(SPECS["F7"], x, batch_rng)
         points = [evaluate_at("F7", row, rng=point_rng) for row in x]
         assert np.array_equal(_bits(batch), _bits(points))
         assert len(set(points)) == n  # each row drew its own noise

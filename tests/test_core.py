@@ -10,7 +10,8 @@ from cddohs import core
 from cddohs.benchmarks import FUNCTION_IDS, evaluate_at, make_function
 from cddohs.cddo import cddo_run
 from cddohs.core import (
-    Archive, Problem, RunConfig, clamp, evaluate, indices, init_population, make_rng, scale,
+    Archive, Problem, RunConfig, clamp, evaluate, evaluate_rows, give_back, indices,
+    init_population, make_rng, scale,
 )
 from cddohs.harness import ALGORITHMS
 from cddohs.hs import hs_run
@@ -227,6 +228,48 @@ class TestArchive:
         pm = Archive(np.zeros((2, 1)), np.array([0.0, math.inf]))
         assert pm.replace_worst(np.ones(1), 1e300)
         assert pm.f.tolist() == [0.0, 1e300]
+
+
+class TestGiveBack:
+    """A stochastic problem draws one noise value per row; the rows past a cut
+    give theirs back, so the engines evaluate a batch once and keep a prefix."""
+
+    @pytest.mark.parametrize("n", [1, 8, 40])
+    def test_giving_back_k_of_n_rows_is_evaluating_n_minus_k(self, n):
+        f7 = make_function("F7")
+        x = scale(make_rng(n).random((n, f7.dim)), f7.lower, f7.upper)
+        for k in range(n + 1):
+            for rows in (k, np.intp(k)):  # the engines pass numpy counts too
+                rng, ref = make_rng(9), make_rng(9)
+                values = evaluate_rows(f7, x, rng)
+                give_back(f7, rng, rows)
+                kept = evaluate_rows(f7, x[:n - k], ref)
+                assert values[:n - k].tobytes() == kept.tobytes(), (k, rows)
+                assert rng.bit_generator.state == ref.bit_generator.state, (k, rows)
+                assert rng.random() == ref.random()
+
+    def test_deterministic_problem_leaves_the_generator_alone(self):
+        rng = make_rng(3)
+        before = rng.bit_generator.state
+        evaluate_rows(_toy(), np.zeros((5, 3)), rng)
+        give_back(_toy(), rng, 5)
+        assert rng.bit_generator.state == before
+
+    def test_user_stochastic_problem_takes_x_only(self):
+        def bowl(x):
+            return np.add.reduce(x * x, -1)
+
+        p = Problem(id="noisy", dim=3, lower=-1.0, upper=1.0, objective=bowl, stochastic=True)
+        x = scale(make_rng(5).random((40, 3)), -1.0, 1.0)
+        rows = evaluate_rows(p, x, make_rng(6))
+        point_rng = make_rng(6)
+        points = [evaluate(p, row, point_rng) for row in x]
+        assert rows.tobytes() == np.array(points).tobytes()
+        assert np.all((bowl(x) <= rows) & (rows < bowl(x) + 1.0))
+        with pytest.raises(ValueError, match="noisy is stochastic and needs an RNG"):
+            evaluate(p, x[0])
+        for run in (cddo_run, hs_run, cddo_hs_run):
+            assert run(p, RunConfig(pop_size=10, max_iters=20)).best_fitness >= 0.0
 
 
 def _nan_on_call(k):

@@ -210,6 +210,28 @@ def test_blocks_change_nothing(func, monkeypatch):
     assert len(rows) < cfg.max_iters and sum(rows) > cfg.pop_size + cfg.max_iters
 
 
+def test_f7_look_ahead_is_one_call(monkeypatch):
+    # F7 draws noise per row: the rows past a cut give their draws back, so a
+    # look-ahead is one evaluate_rows call however it is cut
+    lookaheads, calls = [], []
+    improvise, evaluate_rows = hs.improvise, core.evaluate_rows
+
+    def spy_improvise(positions, draws, t, problem):
+        lookaheads.append(t)
+        return improvise(positions, draws, t, problem)
+
+    def spy_rows(problem, x, rng=None):
+        calls.append(len(x))
+        return evaluate_rows(problem, x, rng)
+
+    monkeypatch.setattr(hs, "improvise", spy_improvise)
+    monkeypatch.setattr(core, "evaluate_rows", spy_rows)
+    cfg = RunConfig(pop_size=40, max_iters=500, base_seed=7)
+    hs_run(make_function("F7"), cfg)
+    assert len(lookaheads) > cfg.max_iters / hs.AHEAD  # walks were cut
+    assert len(calls) == 1 + len(lookaheads)
+
+
 def test_nan_past_a_cut_does_not_raise(monkeypatch):
     # A row evaluated past a cut copies a row the walk replaced; the
     # one-at-a-time loop builds that improvisation from the new row instead,
