@@ -10,12 +10,13 @@ even under PYTHONDONTWRITEBYTECODE. Then runs ``bench/run.py --trace 0``
 runs the parent first when k is odd and the change first when k is even. Each
 run's last line of standard output is printed as it arrives, tagged with its
 pair and side. At the end, for every end-to-end metric of the change's
-``BENCHMARK.json``: each side's median and quartiles, and the number of pairs
-the change won (ties count for neither side). A claimed gain needs at least
-nine tenths of the pairs, and medians further apart than the parent's quartile
-spread. The run length is the ``run_seconds`` of the change's
-``BENCHMARK.json``, the same for both sides. Standard library only; the exit
-status is 1 if any run failed or read ``correct`` false or ``failed`` above 0.
+``BENCHMARK.json``: each side's median and quartiles, the number of pairs the
+change won (ties count for neither side), the metric's bound and its verdict
+(:func:`verdict`). A claimed gain needs at least nine tenths of the pairs, and
+medians further apart than the parent's quartile spread. The run length is the
+``run_seconds`` of the change's ``BENCHMARK.json``, the same for both sides.
+Standard library only; the exit status is 1 if any run failed or read
+``correct`` false or ``failed`` above 0.
 """
 
 from __future__ import annotations
@@ -57,6 +58,22 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def verdict(parent: list[float], change: list[float], bound: float, lower: bool) -> str:
+    """``worse`` when the change's median is worse than the parent's by more
+    than ``bound`` (a fraction of the parent's median); ``unresolved`` when the
+    parent's quartile spread is wider than that and not every change run beats
+    every parent run; ``ok`` otherwise. ``lower`` is true when lower is better."""
+    q1, p_median, q3 = quartiles(parent)
+    c_median = quartiles(change)[1]
+    allowed = bound * abs(p_median)
+    if (c_median - p_median if lower else p_median - c_median) > allowed:
+        return "worse"
+    beats_all = max(change) < min(parent) if lower else min(change) > max(parent)
+    if q3 - q1 > allowed and not beats_all:
+        return "unresolved"
+    return "ok"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -83,15 +100,19 @@ def main(argv=None) -> int:
     ok = all(r["correct"] and r["failed"] == 0 for side in SIDES for r in results[side])
     print(f"\n{args.workload} seed {args.seed}, {args.pairs} pairs; every run correct and "
           f"none failed: {ok}")
-    print(f"{'metric':<12} {'side':<7} {'q1':>12} {'median':>12} {'q3':>12}  change won")
+    print(f"{'metric':<12} {'side':<7} {'q1':>12} {'median':>12} {'q3':>12}  "
+          f"{'change won':<10}  bound  verdict")
     for metric in spec["end_to_end"]:
         name, lower = metric["name"], metric["better"] == "lower"
         values = {side: [r["metrics"][name]["value"] for r in results[side]] for side in SIDES}
         wins = sum((c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"]))
+        won = f"{wins} of {args.pairs}"
+        judged = (f"{won:<10}  {metric['bound']:>5.0%}  "
+                  f"{verdict(values['parent'], values['change'], metric['bound'], lower)}")
         for side in SIDES:
             q1, med, q3 = quartiles(values[side])
-            won = f"{wins} of {args.pairs}" if side == "change" else ""
-            print(f"{name:<12} {side:<7} {q1:>12.6g} {med:>12.6g} {q3:>12.6g}  {won}")
+            tail = judged if side == "change" else ""
+            print(f"{name:<12} {side:<7} {q1:>12.6g} {med:>12.6g} {q3:>12.6g}  {tail}")
     return 0 if ok else 1
 
 

@@ -137,8 +137,8 @@ def init_state(problem: Problem, config: RunConfig, pm_size: int, rng) -> CddoSt
     return CddoState(x, x.copy(), f.copy(), x[g].copy(), float(f[g]), pm, evals=config.pop_size)
 
 
-def cddo_step(state: CddoState, problem: Problem, draws: Draws, t: int, rng) -> CddoState:
-    """Iteration t of ``draws`` over all agents; mutates and returns state.
+def cddo_step(state: CddoState, problem: Problem, draws: Draws, t: int, rng) -> None:
+    """Iteration t of ``draws`` over all agents; mutates state.
 
     Branches and moves are computed for all agents at once, and the movers'
     candidates are evaluated in one call. In the agent-by-agent loop each
@@ -164,11 +164,8 @@ def cddo_step(state: CddoState, problem: Problem, draws: Draws, t: int, rng) -> 
                               draws.sr_skill[t].take(movers, 0), draws.lr[t].take(movers, 0))
     creative_move = creativity_update(state.pm.x.take(draws.pick[t].take(movers), 0),
                                       draws.sr_creative[t].take(movers, 0))
-    # each mover's own branch, in copies of the step's own: the helpers return arguments
     creative = ~skill.take(movers)[:, None]
-    a, b, z = (np.array(m) for m in skill_move)
-    for out, m in zip((a, b, z), creative_move):
-        np.copyto(out, m, where=creative)
+    a, b, z = (np.where(creative, c, s) for s, c in zip(skill_move, creative_move))
     new = np.empty_like(a)  # the movers' candidates, in agent order
     fit = np.empty(len(x))  # per agent; a resting agent's inf is never a better lbest
     fit.fill(np.inf)
@@ -197,14 +194,16 @@ def cddo_step(state: CddoState, problem: Problem, draws: Draws, t: int, rng) -> 
     state.creativity += len(movers) - n_skill
     state.rest += len(x) - len(movers)
     state.pm_replacements += state.pm.replace_worst(state.gbest_x, state.gbest_f)
-    return state
 
 
 def _run_engine(problem: Problem, config: RunConfig, pm_fraction: float,
                 run_index: int, refresh: Optional[Callable] = None) -> RunResult:
-    """Shared driver for CDDO and the hybrid (the hybrid passes its larger
-    pattern-memory fraction and an HS refresh, whose (4, d) block of uniforms
-    precedes the step's in each iteration's row); run r uses seed base_seed + r."""
+    """Shared driver for CDDO and the hybrid; run r uses seed base_seed + r. The
+    hybrid passes its larger pattern-memory fraction and a refresh of the pattern
+    memory with :func:`hs.iterate`'s signature, run before each step from a (4, d)
+    block of uniforms that precedes the step's in the iteration's row. The engine
+    books it: one evaluation, its acceptance, and its vector, an evaluated
+    solution, as the global best when it beats it."""
     if problem.dim < 2:
         raise ValueError("CDDO needs dim >= 2 (golden ratio uses two distinct components)")
     seed = config.seed_for_run(run_index)
@@ -221,7 +220,11 @@ def _run_engine(problem: Problem, config: RunConfig, pm_fraction: float,
             improvisations = hs.choices(u[:, :w].reshape(k, 4, problem.dim), pm_size, problem)
         for t in range(k):
             if refresh is not None:
-                refresh(state, problem, improvisations, t, rng)
+                kept, position, fitness = refresh(state.pm, problem, improvisations, t, rng)
+                state.evals += 1
+                state.refresh_accepts += kept
+                if fitness < state.gbest_f:
+                    state.gbest_x, state.gbest_f = position, fitness
             cddo_step(state, problem, steps, t, rng)
             trace[start + t] = state.gbest_f
     return RunResult(

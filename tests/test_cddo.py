@@ -66,7 +66,18 @@ def _creativity(pm_entry, gbest, sr, problem):
 def _step(state, problem, rng):
     """cddo_step from one iteration's draws: the (P, 8) block reference_step reads."""
     u = rng.random((len(state.x), N_UNIFORMS))
-    return cddo_step(state, problem, _draws(u, problem, len(state.pm.f)), 0, rng)
+    cddo_step(state, problem, _draws(u, problem, len(state.pm.f)), 0, rng)
+
+
+def reference_refresh(state, problem, rng):
+    """The hybrid's refresh from one improvisation's (4, d) draws, booked as
+    the engine books it: one evaluation, its acceptance, and gbest."""
+    kept, position, fitness = hs.iterate(state.pm, problem,
+                                         hs.draw(rng, 1, len(state.pm.f), problem), 0, rng)
+    state.evals += 1
+    state.refresh_accepts += kept
+    if fitness < state.gbest_f:
+        state.gbest_x, state.gbest_f = position, fitness
 
 
 class TestHandPressure:
@@ -244,6 +255,20 @@ def reference_step(state, problem, rng):
     state.pm_replacements += state.pm.replace_worst(state.gbest_x, state.gbest_f)
 
 
+def reference_run(problem, config, pm_fraction, refresh=None):
+    """Run 0 of the engine one iteration at a time: refresh(state, problem, rng),
+    if given, then one step from its own draws; (state, trace)."""
+    rng = make_rng(config.seed_for_run(0))
+    state = init_state(problem, config, math.ceil(pm_fraction * config.pop_size), rng)
+    trace = np.empty(config.max_iters)
+    for t in range(config.max_iters):
+        if refresh is not None:
+            refresh(state, problem, rng)
+        _step(state, problem, rng)
+        trace[t] = state.gbest_f
+    return state, trace
+
+
 def _copy(state):
     return CddoState(state.x.copy(), state.lbest_x.copy(), state.lbest_f.copy(),
                      state.gbest_x.copy(), state.gbest_f,
@@ -354,9 +379,9 @@ class TestCddoStep:
         ref = _copy(state)
         rng, ref_rng = make_rng(34), make_rng(34)
         for _ in range(30):
-            hybrid._refresh(state, p, hs.draw(rng, 1, len(state.pm.f), p), 0, rng)
+            reference_refresh(state, p, rng)
             _step(state, p, rng)
-            hybrid._refresh(ref, p, hs.draw(ref_rng, 1, len(ref.pm.f), p), 0, ref_rng)
+            reference_refresh(ref, p, ref_rng)
             reference_step(ref, p, ref_rng)
         _assert_same(state, ref)
         assert state.refresh_accepts > 0
@@ -499,14 +524,7 @@ def test_blocks_change_nothing(func, run, monkeypatch):
     cfg = RunConfig(pop_size=10, max_iters=2 * BLOCK + 7, base_seed=11)
     hybrid_run = run is cddo_hs_run
     fraction = hybrid.PM_FRACTION if hybrid_run else cddo_mod.PM_FRACTION
-    rng = make_rng(cfg.seed_for_run(0))
-    state = init_state(p, cfg, math.ceil(fraction * cfg.pop_size), rng)
-    trace = []
-    for _ in range(cfg.max_iters):
-        if hybrid_run:
-            hybrid._refresh(state, p, hs.draw(rng, 1, len(state.pm.f), p), 0, rng)
-        _step(state, p, rng)
-        trace.append(state.gbest_f)
+    state, trace = reference_run(p, cfg, fraction, reference_refresh if hybrid_run else None)
 
     sizes = []
 
@@ -516,7 +534,7 @@ def test_blocks_change_nothing(func, run, monkeypatch):
 
     monkeypatch.setattr(cddo_mod, "choices", spy)
     r = run(p, cfg)
-    assert r.trace.tobytes() == np.array(trace).tobytes()
+    assert r.trace.tobytes() == trace.tobytes()
     assert r.best_position.tobytes() == state.gbest_x.tobytes()
     for field in ("evals", "skill", "creativity", "rest", "pm_replacements", "refresh_accepts"):
         assert getattr(r, field) == getattr(state, field), field

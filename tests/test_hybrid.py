@@ -1,12 +1,14 @@
 import math
 
 import numpy as np
+import pytest
 
 from cddohs import cddo, hs, hybrid
 from cddohs.benchmarks import make_function
 from cddohs.cddo import _run_engine, init_state
 from cddohs.core import Archive, RunConfig, make_rng
 from cddohs.hybrid import _improvise_refresh, cddo_hs_run
+from test_cddo import reference_refresh, reference_run
 
 
 def _pm(positions):
@@ -79,17 +81,32 @@ class TestHybridRun:
     def test_reduces_to_cddo_when_refresh_disabled(self, monkeypatch):
         # A refresh that never improves leaves CDDO with an 80% pattern memory,
         # plus one counted evaluation per iteration. The refresh's uniforms are
-        # drawn with the step's, so the plain run has a refresh that does nothing.
+        # drawn with the step's, so the plain run draws them and drops them.
         def inert_refresh(pm, problem, draws, t, rng):
             return False, np.zeros(problem.dim), math.inf
+
+        def drawn_and_dropped(state, problem, rng):
+            rng.random((4, problem.dim))
 
         monkeypatch.setattr(hybrid, "_improvise_refresh", inert_refresh)
         p = make_function("F9")
         cfg = RunConfig(pop_size=16, max_iters=120, base_seed=123)
         hyb = cddo_hs_run(p, cfg)
-        plain = _run_engine(p, cfg, hybrid.PM_FRACTION, 0, refresh=lambda *args: None)
-        assert np.array_equal(hyb.trace, plain.trace)
+        plain, trace = reference_run(p, cfg, hybrid.PM_FRACTION, drawn_and_dropped)
+        assert np.array_equal(hyb.trace, trace)
         assert hyb.evals == plain.evals + cfg.max_iters
+
+    @pytest.mark.parametrize("func", ["F16", "F5"])
+    def test_engine_runs_and_books_a_refresh_alone(self, func):
+        # the refresh-only variant (CDDO's 20% memory, the hybrid's refresh) is
+        # the engine given hs.iterate: it books each refresh as the reference does
+        p = make_function(func)
+        cfg = RunConfig(pop_size=10, max_iters=cddo.BLOCK + 7, base_seed=13)
+        r = _run_engine(p, cfg, cddo.PM_FRACTION, 0, refresh=hs.iterate)
+        state, trace = reference_run(p, cfg, cddo.PM_FRACTION, reference_refresh)
+        assert r.trace.tobytes() == trace.tobytes()
+        assert (r.evals, r.refresh_accepts) == (state.evals, state.refresh_accepts)
+        assert r.refresh_accepts > 0
 
     def test_beats_hs_on_sphere(self):
         # direction of the published comparison, small-scale smoke version
