@@ -112,8 +112,12 @@ def f11_griewank(x):
 
 
 def _penalty(x, a, k, m):
+    # the power only where |x| > a: numpy's pow of a negative base is slow, and
+    # a component inside [-a, a] adds k * 0.0 = +0.0
     ax = np.abs(x)
-    return np.add.reduce(np.where(ax > a, k * (ax - a) ** m, 0.0), -1)
+    p = np.zeros(ax.shape)
+    np.power(ax - a, m, out=p, where=ax > a)
+    return np.add.reduce(k * p, -1)
 
 
 def f12_penalized1(x):
@@ -153,14 +157,21 @@ def f15_kowalik(x):
     return np.add.reduce((_KOWALIK_A - q) ** 2, -1)
 
 
+def _components(x):
+    """The two components of each point of x (..., 2), shaped as its points. One
+    point's are numpy scalars: ``x[..., 0]`` alone is a 0-d array, whose arithmetic
+    costs several times a scalar's."""
+    return x[..., 0][()], x[..., 1][()]
+
+
 def f16_six_hump_camel(x):
-    x1, x2 = x.T
+    x1, x2 = _components(x)
     s1, s2 = x1 * x1, x2 * x2
     return 4.0 * s1 - 2.1 * (s1 * s1) + s1 * s1 * s1 / 3.0 + x1 * x2 - 4.0 * s2 + 4.0 * (s2 * s2)
 
 
 def f17_branin(x):
-    x1, x2 = x.T
+    x1, x2 = _components(x)
     b = 5.1 / (4.0 * np.pi ** 2)
     c = 5.0 / np.pi
     t = 1.0 / (8.0 * np.pi)
@@ -169,7 +180,7 @@ def f17_branin(x):
 
 
 def f18_goldstein_price(x):
-    x1, x2 = x.T
+    x1, x2 = _components(x)
     s1, s2, p, q = x1 * x1, x2 * x2, x1 + x2 + 1.0, 2.0 * x1 - 3.0 * x2
     a = 1.0 + p * p * (19.0 - 14.0 * x1 + 3.0 * s1 - 14.0 * x2 + 6.0 * x1 * x2 + 3.0 * s2)
     b = 30.0 + q * q * (18.0 - 32.0 * x1 + 12.0 * s1 + 48.0 * x2 - 36.0 * x1 * x2 + 27.0 * s2)

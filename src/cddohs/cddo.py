@@ -103,13 +103,17 @@ def golden_ratio(xm: np.ndarray, xn: np.ndarray) -> np.ndarray:
     well: an infinite gr would make the skill move inf * 0 or inf - inf, a
     NaN position.
     """
-    nonzero = xm != 0.0
-    # both draws' ratios in one divide, then the first's wherever it has a denominator
-    ratios = np.empty(xm.shape)
-    ratios.fill(PHI)
-    np.divide(xm + xn, xm, out=ratios, where=nonzero)
-    gr = ratios[:, 1]
-    np.copyto(gr, ratios[:, 0], where=nonzero[:, 0])
+    first = xm[:, 0]
+    if np.count_nonzero(first) == len(first):  # the second draw is not needed
+        gr = (first + xn[:, 0]) / first
+    else:
+        nonzero = xm != 0.0
+        # both draws' ratios in one divide, then the first's wherever it has a denominator
+        ratios = np.empty(xm.shape)
+        ratios.fill(PHI)
+        np.divide(xm + xn, xm, out=ratios, where=nonzero)
+        gr = ratios[:, 1]
+        np.copyto(gr, ratios[:, 0], where=nonzero[:, 0])
     gr[np.isinf(gr)] = PHI
     return gr
 
@@ -166,28 +170,27 @@ def cddo_step(state: CddoState, problem: Problem, draws: Draws, t: int, rng) -> 
                                       draws.sr_creative[t].take(movers, 0))
     creative = ~skill.take(movers)[:, None]
     a, b, z = (np.where(creative, c, s) for s, c in zip(skill_move, creative_move))
-    new = np.empty_like(a)  # the movers' candidates, in agent order
-    fit = np.empty(len(x))  # per agent; a resting agent's inf is never a better lbest
-    fit.fill(np.inf)
-    j = 0  # movers before j have their agent-by-agent candidate and fitness
-    while j < len(movers):
-        new[j:] = clamp(a[j:] + b[j:] * (state.gbest_x - z[j:]), problem)
-        f = core.evaluate_rows(problem, new[j:], rng)
-        stop = (~(f >= state.gbest_f)).nonzero()[0]
-        n = stop[0] + 1 if len(stop) else len(f)  # rows kept
-        core.give_back(problem, rng, len(f) - n)
-        fit[movers[j:j + n]] = f[:n]
-        j += n
-        if len(stop):
-            f_i = float(f[n - 1])
+    if len(movers):
+        # the movers' candidates and fitness, in agent order; a cut rebuilds the rows after it
+        new = clamp(a + b * (state.gbest_x - z), problem)
+        fit = core.evaluate_rows(problem, new, rng)
+        j = 0  # movers before j have their agent-by-agent candidate and fitness
+        while len(stop := (~(fit[j:] >= state.gbest_f)).nonzero()[0]):
+            j += stop[0] + 1  # the rows up to the cut are kept
+            core.give_back(problem, rng, len(movers) - j)
+            f_i = float(fit[j - 1])
             if math.isnan(f_i):
                 raise core.nan_error(problem)
             state.gbest_x, state.gbest_f = new[j - 1].copy(), f_i
-
-    x[movers] = new
-    better = fit < state.lbest_f
-    np.copyto(lbest_x, x, where=better[:, None])
-    np.copyto(state.lbest_f, fit, where=better)
+            if j == len(movers):
+                break
+            new[j:] = clamp(a[j:] + b[j:] * (state.gbest_x - z[j:]), problem)
+            fit[j:] = core.evaluate_rows(problem, new[j:], rng)
+        x[movers] = new
+        better = (fit < state.lbest_f.take(movers)).nonzero()[0]
+        improved = movers.take(better)
+        lbest_x[improved] = new.take(better, 0)
+        state.lbest_f[improved] = fit.take(better)
     state.evals += len(movers)
     n_skill = int(np.count_nonzero(skill))
     state.skill += n_skill

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-import numpy as np
-
 from . import reference
 from .benchmarks import FUNCTION_IDS, make_function
 from .cddo import cddo_run
@@ -226,6 +224,6 @@ def compare_to_reference(summary: dict) -> dict:
             elif mv == 0.0 or pv == 0.0:
                 row["log10_gap"] = None  # one side exactly zero: gap undefined
             else:
-                row["log10_gap"] = float(np.log10(abs(mv)) - np.log10(abs(pv)))
+                row["log10_gap"] = math.log10(abs(mv)) - math.log10(abs(pv))
         rows.append(row)
     return {"rows": rows, "wins_vs_hs": wins["hs"], "wins_vs_cddo": wins["cddo"]}

@@ -183,6 +183,25 @@ class TestProperties:
             assert (v == 0.0) if abs(x) <= a else (v > 0.0)
 
 
+def _penalty_where(x, a, k, m):
+    """The penalty with the power computed at every component, then masked."""
+    ax = np.abs(x)
+    return np.add.reduce(np.where(ax > a, k * (ax - a) ** m, 0.0), -1)
+
+
+@pytest.mark.parametrize("a", [10.0, 5.0])  # F12's and F13's
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_penalty_equals_the_where_form(a, data):
+    # the power is computed only where it is kept; the result is the same bits
+    edges = [a, -a, np.nextafter(a, 0.0), -np.nextafter(a, 99.0), 0.0, -0.0]
+    shape = data.draw(st.sampled_from([(10,), (30,), (7, 10), (20, 30)]), label="shape")
+    x = data.draw(hnp.arrays(np.float64, shape, elements=st.one_of(
+        st.sampled_from(edges), st.floats(-50.0, 50.0))), label="x")
+    assert _bits(benchmarks._penalty(x, a, 100.0, 4.0)).tobytes() == \
+        _bits(_penalty_where(x, a, 100.0, 4.0)).tobytes()
+
+
 def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64)
 
@@ -216,6 +235,17 @@ class TestRowContract:
             batch = evaluate_rows(s, x, batch_rng)
             points = [evaluate(s, row, point_rng) for row in x]
             assert np.array_equal(_bits(batch), _bits(points)), (fid, n)
+
+    @pytest.mark.parametrize("fid", FUNCTION_IDS)
+    def test_3d_batches_equal_points(self, fid):
+        # a (k, n, d) batch of blocks of rows maps to (k, n), each value its point's
+        s = SPECS[fid]
+        for k, n in ((1, 1), (3, 5), (2, 40)):
+            x = s.lower + (s.upper - s.lower) * make_rng(k * n).random((k, n, s.dim))
+            batch = s.objective(x)
+            assert batch.shape == (k, n), fid
+            points = [[s.objective(row) for row in rows] for rows in x]
+            assert np.array_equal(_bits(batch), _bits(points)), fid
 
     @given(st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=50, deadline=None)

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cddohs import cddo as cddo_mod
 from cddohs import core, hs, hybrid
@@ -150,6 +153,35 @@ class TestGoldenRatio:
         assert _gr([1e-300, 1e300, 0.0], 0.0, 0.0, 0.0, 0.0) == PHI
         assert _gr([-1e307, -1e307], 0.0, 0.0, 0.0, 0.0) == 2.0
         assert _gr([1.5e308, 1.5e308], 0.0, 0.0, 0.0, 0.0) == PHI
+
+    @staticmethod
+    def _masked(xm, xn):
+        """The ratio with both draws always divided: golden_ratio's general path."""
+        nonzero = xm != 0.0
+        ratios = np.full(xm.shape, PHI)
+        np.divide(xm + xn, xm, out=ratios, where=nonzero)
+        gr = np.where(nonzero[:, 0], ratios[:, 0], ratios[:, 1])
+        gr[np.isinf(gr)] = PHI
+        return gr
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.just(4)),
+                      elements=st.one_of(st.sampled_from([0.0, -0.0, 1e-300, -1.5e308, 1.5e308]),
+                                         st.floats(-1e308, 1e308))))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_masked_ratio(self, xmn):
+        # a block whose first denominators are all nonzero takes one plain divide
+        xm, xn = xmn[:, :2], xmn[:, 2:]
+        assert golden_ratio(xm, xn).tobytes() == self._masked(xm, xn).tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_both_paths_equal_the_masked_ratio(self):
+        xm = np.array([[1e-300, 3.0], [2.0, 0.0], [-4.0, 1.0], [-0.0, 5.0], [0.0, 0.0]])
+        xn = np.array([[1e300, 1.0], [3.0, 1.0], [1.0, 2.0], [7.0, 2.0], [1.0, 1.0]])
+        for rows in (slice(0, 3), slice(0, 5)):  # without and with a zero first denominator
+            gr = golden_ratio(xm[rows], xn[rows])
+            assert gr.tobytes() == self._masked(xm[rows], xn[rows]).tobytes()
+        assert gr.tolist() == [PHI, 2.5, 0.75, 1.4, PHI]  # the first overflows to inf
 
 
 class TestSkillUpdate:
@@ -306,6 +338,21 @@ class TestCddoStep:
             assert skill + creativity + rest == cfg.pop_size  # one branch per agent
             assert evals == skill + creativity  # one evaluation per updated agent
             assert skill > 0
+
+    def test_resting_step_makes_no_objective_call(self):
+        calls = []
+        p = Problem(id="t", dim=2, lower=-10.0, upper=10.0, objective=calls.append,
+                    stochastic=True)
+        x = np.ones((5, 2))  # every golden ratio is (1 + 1) / 1 = 2, outside phi's tolerance
+        state = CddoState(x, x.copy(), np.full(5, 2.0), x[0].copy(), 2.0,
+                          Archive(x[:1].copy(), np.array([2.0])), evals=5)
+        u = np.zeros((5, N_UNIFORMS))  # RHP at the lower bound: no agent takes the skill branch
+        rng = make_rng(0)
+        cddo_step(state, p, _draws(u, p), 0, rng)
+        assert calls == []
+        assert (state.rest, state.skill, state.creativity, state.evals) == (5, 0, 0, 5)
+        assert np.array_equal(state.x, np.ones((5, 2)))
+        assert rng.random() == make_rng(0).random()  # no noise was drawn
 
     def test_sr_lr_interval_discipline(self, monkeypatch):
         p = make_function("F9")
