@@ -12,8 +12,10 @@
 # path lists (with the output directory cut off), of `compare` on
 # summary.csv and then summary.json, of `rank --reference table6` and of
 # `list`. The artifacts print fitness with 7 significant digits, so the
-# last two lines digest full-precision results: `repr(best_fitness)` and
-# `evals` of three short fixed-seed runs of each algorithm on F1-F19 (`runs`),
+# last two lines digest full-precision results: `repr(best_fitness)`, `evals`,
+# `seed` and the six counters (skill, creativity, rest, pm_replacements,
+# refresh_accepts, hm_accepts) of three short fixed-seed runs of each
+# algorithm on F1-F19 (`runs`),
 # and of run 0 of each algorithm on every function but F7 at 207 iterations,
 # two of CDDO's blocks of draws (cddo.BLOCK) and 7 more (`long`). F7 is left
 # out there: its noise follows each block's uniforms, so it moves with BLOCK.
@@ -26,6 +28,17 @@ trap 'rm -rf "$tmp"' EXIT
 
 cddohs() { PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 -m cddohs.cli "$@"; }
 digest() { sha256sum | cut -d' ' -f1; }
+# the digest of the lines that a python snippet prints with show(..., result):
+# repr(best_fitness), then evals, seed and the six counters of each RunResult
+results() { PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 -c '
+from cddohs.benchmarks import FUNCTION_IDS, make_function
+from cddohs.core import RunConfig
+from cddohs.harness import ALGORITHMS
+def show(*args):
+    *key, r = args
+    print(*key, repr(r.best_fitness), r.evals, r.seed, r.skill, r.creativity, r.rest,
+          r.pm_replacements, r.refresh_accepts, r.hm_accepts)
+'"$1" | digest; }
 
 cddohs run --algo all --func all --runs 4 --iters 30 --seed 2023 --out "$tmp/X" >"$tmp/paths"
 cddohs run --algo all --func F6,F11,F16 --runs 10 --iters 30 --seed 2023 --out "$tmp/Y" >>"$tmp/paths"
@@ -40,28 +53,20 @@ echo "compare      $({ cddohs compare --summary "$tmp/X/summary.csv"
                        cddohs compare --summary "$tmp/X/summary.json"; } | digest)"
 echo "rank         $(cddohs rank --reference table6 | digest)"
 echo "list         $(cddohs list | digest)"
-echo "runs         $(PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 -c '
-from cddohs.benchmarks import FUNCTION_IDS, make_function
-from cddohs.core import RunConfig
-from cddohs.harness import ALGORITHMS
+echo "runs         $(results '
 config = RunConfig(pop_size=20, max_iters=50, base_seed=2023)
 for algo, run in ALGORITHMS.items():
     for func in FUNCTION_IDS:
         for r in range(3):
-            result = run(make_function(func), config, r)
-            print(algo, func, r, repr(result.best_fitness), result.evals)
-' | digest)"
-echo "long         $(PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 -c '
-from cddohs.benchmarks import FUNCTION_IDS, make_function
-from cddohs.core import RunConfig
-from cddohs.harness import ALGORITHMS
+            show(algo, func, r, run(make_function(func), config, r))
+')"
+echo "long         $(results '
 config = RunConfig(pop_size=10, max_iters=207, base_seed=2023)
 for algo, run in ALGORITHMS.items():
     for func in FUNCTION_IDS:
         if func != "F7":
-            result = run(make_function(func), config, 0)
-            print(algo, func, repr(result.best_fitness), result.evals)
-' | digest)"
+            show(algo, func, run(make_function(func), config, 0))
+')"
 } >"$tmp/lines"
 
 cat "$tmp/lines"

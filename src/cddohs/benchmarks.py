@@ -48,8 +48,8 @@ _HARTMANN3_P = np.array(
 
 # -- objective functions ------------------------------------------------------
 #
-# Each objective takes one point (d,) and returns a float, or rows (n, d) and
-# returns (n,), with row i equal to the one-point value bit for bit. Powers of
+# Each objective meets the contract of core.Problem: x (..., d) to values (...),
+# each point's value bit for bit the same in every layout. Powers of
 # a single component are written as products: a one-point call sees numpy
 # scalars, whose ``**`` is libm's pow, while rows see arrays, whose ``**``
 # can round differently in the last bit; a product rounds the same both ways.
@@ -120,10 +120,17 @@ def _penalty(x, a, k, m):
     return np.add.reduce(k * p, -1)
 
 
+def _components(x, i=0, j=1):
+    """Components i and j of each point of x (..., d), shaped as its points: numpy
+    scalars for one point, where ``x[..., i]`` alone is a 0-d array (see core.Problem)."""
+    return x[..., i][()], x[..., j][()]
+
+
 def f12_penalized1(x):
     n = x.shape[-1]
     y = 1.0 + (x + 1.0) / 4.0
-    s, z = np.sin(np.pi * y[..., 0]), y[..., -1] - 1.0
+    first, last = _components(y, 0, -1)
+    s, z = np.sin(np.pi * first), last - 1.0
     core = (
         10.0 * (s * s)
         + np.add.reduce((y[..., :-1] - 1.0) ** 2 * (1.0 + 10.0 * np.sin(np.pi * y[..., 1:]) ** 2), -1)
@@ -133,7 +140,8 @@ def f12_penalized1(x):
 
 
 def f13_penalized2(x):
-    s, z, w = np.sin(3.0 * np.pi * x[..., 0]), x[..., -1] - 1.0, np.sin(2.0 * np.pi * x[..., -1])
+    first, last = _components(x, 0, -1)
+    s, z, w = np.sin(3.0 * np.pi * first), last - 1.0, np.sin(2.0 * np.pi * last)
     core = (
         s * s
         + np.add.reduce((x[..., :-1] - 1.0) ** 2 * (1.0 + np.sin(3.0 * np.pi * x[..., 1:]) ** 2), -1)
@@ -155,13 +163,6 @@ def f15_kowalik(x):
     q = num / den if np.count_nonzero(den) == den.size else np.divide(
         num, den, out=np.full(den.shape, np.inf), where=den != 0.0)
     return np.add.reduce((_KOWALIK_A - q) ** 2, -1)
-
-
-def _components(x):
-    """The two components of each point of x (..., 2), shaped as its points. One
-    point's are numpy scalars: ``x[..., 0]`` alone is a 0-d array, whose arithmetic
-    costs several times a scalar's."""
-    return x[..., 0][()], x[..., 1][()]
 
 
 def f16_six_hump_camel(x):

@@ -208,7 +208,7 @@ def _run_engine(problem: Problem, config: RunConfig, pm_fraction: float,
     books it: one evaluation, its acceptance, and its vector, an evaluated
     solution, as the global best when it beats it."""
     if problem.dim < 2:
-        raise ValueError("CDDO needs dim >= 2 (golden ratio uses two distinct components)")
+        raise ValueError(f"{problem.id}: CDDO needs dim >= 2 (golden ratio uses two distinct components)")
     seed = config.seed_for_run(run_index)
     rng = make_rng(seed)
     pop, pm_size = config.pop_size, math.ceil(pm_fraction * config.pop_size)

@@ -28,12 +28,12 @@ def check_count(owner: str, name: str, value) -> int:
 class Problem:
     """A box-constrained minimization problem.
 
-    ``objective`` takes one point (d,) and returns a float, or rows (n, d) and
-    returns (n,), row i bit for bit the one-point value: CDDO evaluates a
-    step's moving agents, HS a look-ahead of improvisations, and every run
-    its initial population, in one call. It is never passed the generator: a
-    stochastic problem's value is ``objective(x)`` plus one ``rng.random()`` per
-    point, in row order, drawn by :func:`evaluate` and :func:`evaluate_rows`.
+    The objective contract: ``objective`` maps x (..., d) to values (...), one
+    point (d,) to a float and rows (n, d) to (n,), each point's value bit for bit
+    the same in every layout, and reads a point's single components as numpy
+    scalars (``x[..., i][()]``), not 0-d arrays. Only :func:`evaluate_rows` calls
+    it; that adds a stochastic problem's noise, one ``rng.random()`` per point in
+    C order, so the objective is never passed the generator.
     """
 
     id: str
@@ -46,12 +46,12 @@ class Problem:
     def __post_init__(self):
         object.__setattr__(self, "dim", check_count(f"problem {self.id}", "dim", self.dim))
         if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
-            raise ValueError(f"need finite bounds, got [{self.lower}, {self.upper}]")
+            raise ValueError(f"{self.id}: need finite bounds, got [{self.lower}, {self.upper}]")
         if not self.lower < self.upper:
-            raise ValueError(f"need lower < upper, got [{self.lower}, {self.upper}]")
+            raise ValueError(f"{self.id}: need lower < upper, got [{self.lower}, {self.upper}]")
         if not math.isfinite(self.upper - self.lower):
             # every uniform draw in the box is lower + (upper - lower) * u
-            raise ValueError(f"box width upper - lower overflows: [{self.lower}, {self.upper}]")
+            raise ValueError(f"{self.id}: box width upper - lower overflows: [{self.lower}, {self.upper}]")
 
 
 @dataclass
@@ -148,28 +148,19 @@ def nan_error(problem: Problem) -> ValueError:
     return ValueError(f"{problem.id}: objective returned NaN")
 
 
-def _value(problem: Problem, x: np.ndarray, rng: Optional[np.random.Generator]):
-    value = problem.objective(x)
-    if problem.stochastic:
-        if rng is None:
-            raise ValueError(f"{problem.id} is stochastic and needs an RNG")
-        # one draw per point, in row order: n rows draw as n single points would
-        value = value + rng.random(x.shape[:-1] or None)
-    return value
-
-
 def evaluate(problem: Problem, position: np.ndarray, rng: Optional[np.random.Generator] = None) -> float:
-    """The value at one point (d,); a stochastic problem draws its noise from
-    rng. NaN raises (see :func:`nan_error`)."""
-    value = float(_value(problem, position, rng))
+    """The value at one point (d,): :func:`evaluate_rows` of it, as a float.
+    NaN raises (see :func:`nan_error`)."""
+    value = float(evaluate_rows(problem, position, rng))
     if math.isnan(value):
         raise nan_error(problem)
     return value
 
 
-def evaluate_rows(problem: Problem, rows: np.ndarray,
+def evaluate_rows(problem: Problem, x: np.ndarray,
                   rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """The value at each row of rows (n, d), from one objective call: (n,) floats.
+    """The values at x (..., d) from one objective call, floats shaped x.shape[:-1]
+    (0-d for one point), plus a stochastic problem's noise (see :class:`Problem`).
 
     NaN is returned, not raised: a caller that keeps only some of the rows
     checks those (see :func:`nan_error`), and gives the rest back (see
@@ -177,10 +168,16 @@ def evaluate_rows(problem: Problem, rows: np.ndarray,
     """
     # C order: numpy reduces the last axis of another layout in another order,
     # so row values could differ from the one-point values in the last bit
-    values = np.asarray(_value(problem, np.ascontiguousarray(rows), rng), dtype=float)
-    if values.shape != (len(rows),):
-        raise ValueError(f"{problem.id}: objective returned shape {values.shape} for "
-                         f"{len(rows)} rows; it must map rows (n, d) to values (n,)")
+    x = np.ascontiguousarray(x)
+    values, shape = np.asarray(problem.objective(x), dtype=float), x.shape[:-1]
+    if values.shape != shape:
+        raise ValueError(f"{problem.id}: objective returned shape {values.shape} for x of "
+                         f"shape {x.shape}; it must map x (..., d) to values (...)")
+    if problem.stochastic:
+        if rng is None:
+            raise ValueError(f"{problem.id} is stochastic and needs an RNG")
+        # [()]: one point's value as a numpy scalar, whose sum costs a fraction of a 0-d array's
+        values = values[()] + rng.random(shape or None)
     return values
 
 

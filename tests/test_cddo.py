@@ -557,7 +557,7 @@ class TestCddoRun:
 
     def test_rejects_dim_one(self):
         p = Problem(id="d1", dim=1, lower=-1, upper=1, objective=lambda x: float(x[0] ** 2))
-        with pytest.raises(ValueError, match="dim >= 2"):
+        with pytest.raises(ValueError, match="^d1: CDDO needs dim >= 2"):
             cddo_run(p, RunConfig(pop_size=5, max_iters=5))
 
 

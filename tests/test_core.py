@@ -28,7 +28,8 @@ class TestProblem:
         # inverted, and not finite: an infinite box has no uniform initial draw
         for lower, upper in [(1.0, -1.0), (-math.inf, 1.0), (-1.0, math.inf),
                              (-math.inf, math.inf), (math.nan, 1.0), (-1.0, math.nan)]:
-            with pytest.raises(ValueError):
+            rule = "lower < upper" if lower == 1.0 else "finite bounds"
+            with pytest.raises(ValueError, match=f"^bad: need {rule}, got "):
                 Problem(id="bad", dim=2, lower=lower, upper=upper, objective=lambda x: 0.0)
 
 
@@ -272,6 +273,40 @@ class TestGiveBack:
             assert run(p, RunConfig(pop_size=10, max_iters=20)).best_fitness >= 0.0
 
 
+def _one_element_at_a_point(x):
+    # rows (n, d) to (n,), as the contract asks, but one point (d,) to (1,)
+    return np.atleast_1d(np.add.reduce(x * x, -1))
+
+
+class TestEvaluateRows:
+    """One function evaluates a point, rows and batches: values shaped x.shape[:-1]."""
+
+    def test_point_value_of_another_shape_names_the_problem(self):
+        p = Problem(id="one-element", dim=3, lower=-1.0, upper=1.0,
+                    objective=_one_element_at_a_point)
+        shapes = r"^one-element: objective returned shape \(1,\) for x of shape \(3,\)"
+        with pytest.raises(ValueError, match=shapes):
+            evaluate(p, np.zeros(3))
+        with pytest.raises(ValueError, match=shapes):  # the hybrid's refresh is one point
+            cddo_hs_run(p, RunConfig(pop_size=5, max_iters=5))
+        for run in (cddo_run, hs_run):  # these evaluate rows only
+            assert run(p, RunConfig(pop_size=5, max_iters=5)).best_fitness >= 0.0
+
+    @pytest.mark.parametrize("layout", ["C", "transposed"])
+    def test_batch_is_its_points_in_c_order(self, layout):
+        f7 = make_function("F7")
+        k, n = 3, 5
+        x = scale(make_rng(1).random((k, n, f7.dim)), f7.lower, f7.upper)
+        if layout == "transposed":  # the same points, not C-contiguous
+            x = np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2)
+        rng, ref = make_rng(2), make_rng(2)
+        values = evaluate_rows(f7, x, rng)
+        assert values.shape == (k, n)
+        points = [evaluate(f7, point, ref) for point in x.reshape(-1, f7.dim)]
+        assert values.tobytes() == np.array(points).tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def _nan_on_call(k):
     """A user problem that returns NaN on the k-th row it evaluates (a
     one-point call is one row)."""
@@ -349,7 +384,7 @@ class TestUserProblems:
         if math.isfinite(upper - lower):
             Problem(id="user", dim=2, lower=lower, upper=upper, objective=_arctan_sum)
         else:
-            with pytest.raises(ValueError, match="width"):
+            with pytest.raises(ValueError, match="^user: box width"):
                 Problem(id="user", dim=2, lower=lower, upper=upper, objective=_arctan_sum)
 
     @pytest.mark.parametrize("run", RUNS)
