@@ -53,6 +53,12 @@ _HARTMANN3_P = np.array(
 # a single component are written as products: a one-point call sees numpy
 # scalars, whose ``**`` is libm's pow, while rows see arrays, whose ``**``
 # can round differently in the last bit; a product rounds the same both ways.
+# F7's fourth and F14's sixth powers of arrays are products too: on an AVX-512
+# host, numpy's array pow of a negative base takes a slow path (about 30 times
+# the time per value of a positive base) that rounds some values differently
+# from the kernel of a positive base and from another CPU dispatch's kernels,
+# while a product rounds the same for -x as for x under every dispatch.
+# _penalty (F12, F13) raises only positive bases and keeps numpy's pow.
 # Reductions are the ufunc's own reduce/accumulate (np.add.reduce for np.sum,
 # and so on): bit for bit numpy's functions, without their Python dispatch.
 
@@ -85,7 +91,8 @@ def f6_step(x):
 
 def f7_quartic(x):
     i = np.arange(1, x.shape[-1] + 1)
-    return np.add.reduce(i * x ** 4, -1)
+    s = x * x
+    return np.add.reduce(i * (s * s), -1)
 
 
 def f8_schwefel(x):
@@ -151,7 +158,9 @@ def f13_penalized2(x):
 
 
 def f14_foxholes(x):
-    d = np.add.reduce((x[..., :, None] - _FOXHOLES_A) ** 6, -2)
+    e = x[..., :, None] - _FOXHOLES_A
+    s = e * e
+    d = np.add.reduce(s * s * s, -2)
     return 1.0 / (1.0 / 500.0 + np.add.reduce(1.0 / (_FOXHOLES_J + d), -1))
 
 
@@ -260,9 +269,6 @@ def make_function(func_id: str) -> BenchmarkSpec:
 
 
 def evaluate_at(func_id: str, x, rng=None) -> float:
-    """Evaluate a registered function at x (length must match its dim)."""
-    problem = make_function(func_id)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (problem.dim,):
-        raise ValueError(f"{func_id} expects a length-{problem.dim} vector, got shape {x.shape}")
-    return evaluate(problem, x, rng)
+    """Evaluate a registered function at one point x, of length its dim (core.evaluate
+    rejects another shape)."""
+    return evaluate(make_function(func_id), np.asarray(x, dtype=float), rng)

@@ -150,8 +150,13 @@ def nan_error(problem: Problem) -> ValueError:
 
 def evaluate(problem: Problem, position: np.ndarray, rng: Optional[np.random.Generator] = None) -> float:
     """The value at one point (d,): :func:`evaluate_rows` of it, as a float.
-    NaN raises (see :func:`nan_error`)."""
-    value = float(evaluate_rows(problem, position, rng))
+    Rows raise, naming the problem, and so does NaN (see :func:`nan_error`)."""
+    values = evaluate_rows(problem, position, rng)
+    try:
+        value = float(values)
+    except TypeError:  # values of rows, not of one point
+        raise ValueError(f"{problem.id}: evaluate takes one point (dim,) for dim = {problem.dim}, "
+                         f"got x.shape = {np.shape(position)}; evaluate_rows takes rows") from None
     if math.isnan(value):
         raise nan_error(problem)
     return value
@@ -161,6 +166,7 @@ def evaluate_rows(problem: Problem, x: np.ndarray,
                   rng: Optional[np.random.Generator] = None) -> np.ndarray:
     """The values at x (..., d) from one objective call, floats shaped x.shape[:-1]
     (0-d for one point), plus a stochastic problem's noise (see :class:`Problem`).
+    A last axis of another length than ``problem.dim`` raises, naming the problem.
 
     NaN is returned, not raised: a caller that keeps only some of the rows
     checks those (see :func:`nan_error`), and gives the rest back (see
@@ -169,6 +175,9 @@ def evaluate_rows(problem: Problem, x: np.ndarray,
     # C order: numpy reduces the last axis of another layout in another order,
     # so row values could differ from the one-point values in the last bit
     x = np.ascontiguousarray(x)
+    if x.shape[-1] != problem.dim:  # ascontiguousarray gives x at least one axis
+        raise ValueError(f"{problem.id}: x must be (..., dim) for dim = {problem.dim}, "
+                         f"got x.shape = {x.shape}")
     values, shape = np.asarray(problem.objective(x), dtype=float), x.shape[:-1]
     if values.shape != shape:
         raise ValueError(f"{problem.id}: objective returned shape {values.shape} for x of "

@@ -1,4 +1,8 @@
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,8 +64,12 @@ class TestRegistry:
             evaluate_at("nope", [0.0])
 
     def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError, match="length-10"):
+        # core.evaluate checks the shape, naming the problem
+        with pytest.raises(ValueError, match=r"^F1: x must be \(\.\.\., dim\) for dim = 10, "
+                                             r"got x\.shape = \(2,\)"):
             evaluate_at("F1", [0.0, 0.0])
+        with pytest.raises(ValueError, match=r"^F1: evaluate takes one point"):
+            evaluate_at("F1", np.zeros((1, 10)))
 
     def test_registry_problems_are_built_once(self):
         # one record per function: the registry entry is the Problem itself
@@ -168,6 +176,14 @@ class TestProperties:
             v = evaluate_at("F7", x, rng=rng)
             assert det <= v <= det + 1.0
 
+    def test_f7_is_even_bit_for_bit(self):
+        # x * x rounds the same for -x as for x; numpy's pow of an array need not
+        s = SPECS["F7"]
+        for shape in ((s.dim,), (40, s.dim), (3, 5, s.dim)):  # a point, rows, a batch
+            x = s.lower + (s.upper - s.lower) * make_rng(len(shape)).random(shape)
+            assert _bits(benchmarks.f7_quartic(-x)).tobytes() == \
+                _bits(benchmarks.f7_quartic(x)).tobytes(), shape
+
     def test_f7_deterministic_with_fixed_rng(self):
         x = np.linspace(-1, 1, 10)
         assert evaluate_at("F7", x, rng=make_rng(3)) == evaluate_at("F7", x, rng=make_rng(3))
@@ -273,3 +289,41 @@ def test_objectives_skip_numpy_reduction_dispatch(fid, monkeypatch):
     rng = make_rng(4) if s.stochastic else None
     assert isinstance(evaluate(s, rows[0], rng), float)
     assert evaluate_rows(s, rows, rng).shape == (8,)
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"  # numpy's AVX-512 kernels off
+# digests of F7's and F14's values at 20000 seeded points, as a batch, as rows and one
+# point at a time (under numpy's pow, about 1 in 1500 of F14's values moved with the dispatch)
+_OBJECTIVE_DIGESTS = """
+import hashlib
+import numpy as np
+from cddohs.benchmarks import SPECS
+from cddohs.core import make_rng
+for fid in ("F7", "F14"):
+    s = SPECS[fid]
+    x = s.lower + (s.upper - s.lower) * make_rng(int(fid[1:])).random((4, 5000, s.dim))
+    for layout, values in (("batch", s.objective(x)), ("rows", s.objective(x[0])),
+                           ("points", [s.objective(p) for p in x[1, :200]])):
+        print(fid, layout, hashlib.sha256(np.asarray(values, dtype=float).tobytes()).hexdigest())
+"""
+
+
+def _python(code, disable=None):
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    if disable:
+        env["NPY_DISABLE_CPU_FEATURES"] = disable
+    # numpy refuses a feature it cannot disable with an ImportWarning
+    return subprocess.run([sys.executable, "-W", "error::ImportWarning", "-c", code],
+                          env=env, capture_output=True, text=True)
+
+
+def test_f7_and_f14_do_not_depend_on_cpu_dispatch():
+    # their powers are products, which round the same under every SIMD kernel
+    refused = _python("import numpy", NO_AVX512)
+    if refused.returncode:
+        pytest.skip(f"numpy refuses NPY_DISABLE_CPU_FEATURES={NO_AVX512!r}: {refused.stderr.strip()}")
+    default, no_avx512 = _python(_OBJECTIVE_DIGESTS), _python(_OBJECTIVE_DIGESTS, NO_AVX512)
+    assert default.returncode == 0 == no_avx512.returncode, default.stderr + no_avx512.stderr
+    assert default.stdout == no_avx512.stdout

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -291,6 +292,24 @@ class TestEvaluateRows:
             cddo_hs_run(p, RunConfig(pop_size=5, max_iters=5))
         for run in (cddo_run, hs_run):  # these evaluate rows only
             assert run(p, RunConfig(pop_size=5, max_iters=5)).best_fitness >= 0.0
+
+    @pytest.mark.parametrize("shape", [(11,), (9,), (4, 11), (2, 3, 1)])
+    def test_x_of_another_dim_names_the_problem(self, shape):
+        f1 = make_function("F1")  # dim 10
+        message = r"^F1: x must be \(\.\.\., dim\) for dim = 10, got x\.shape = " + re.escape(str(shape))
+        with pytest.raises(ValueError, match=message):
+            evaluate_rows(f1, np.zeros(shape))
+        with pytest.raises(ValueError, match=message):
+            evaluate(f1, np.zeros(shape))
+
+    @pytest.mark.parametrize("func", ["F1", "F7"])
+    @pytest.mark.parametrize("shape", [(1, 10), (3, 10), (2, 1, 10)])
+    def test_evaluate_of_rows_names_the_problem(self, func, shape):
+        p = make_function(func)
+        message = (rf"^{func}: evaluate takes one point \(dim,\) for dim = 10, got x\.shape = "
+                   + re.escape(str(shape)))
+        with pytest.raises(ValueError, match=message):
+            evaluate(p, np.zeros(shape), make_rng(0))
 
     @pytest.mark.parametrize("layout", ["C", "transposed"])
     def test_batch_is_its_points_in_c_order(self, layout):
