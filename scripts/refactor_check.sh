@@ -1,5 +1,5 @@
 #!/bin/sh
-# Refactor check: print nine digests that a change which should not alter
+# Refactor check: print eleven digests that a change which should not alter
 # results must leave unchanged (see "Refactor check" in README.md), and compare
 # them with scripts/refactor_check.expected: on a mismatch the diff goes to
 # stderr and the exit status is 1.
@@ -12,13 +12,17 @@
 # path lists (with the output directory cut off), of `compare` on
 # summary.csv and then summary.json, of `rank --reference table6` and of
 # `list`. The artifacts print fitness with 7 significant digits, so the
-# last two lines digest full-precision results: `repr(best_fitness)`, `evals`,
+# next two lines digest full-precision results: `repr(best_fitness)`, `evals`,
 # `seed` and the six counters (skill, creativity, rest, pm_replacements,
 # refresh_accepts, hm_accepts) of three short fixed-seed runs of each
 # algorithm on F1-F19 (`runs`),
 # and of run 0 of each algorithm on every function but F7 at 207 iterations,
 # two of CDDO's blocks of draws (cddo.BLOCK) and 7 more (`long`). F7 is left
 # out there: its noise follows each block's uniforms, so it moves with BLOCK.
+# The last two lines (`trace runs`, `trace long`) digest the bytes of `trace`
+# and `best_position` of the same runs. Their last bits follow numpy's SIMD
+# dispatch, and the expected digests were made with its AVX-512 kernels
+# (X86_V4), so those two lines are compared only where numpy runs them.
 set -eu
 # file globs sort by the locale's collation under some shells (bash); pin it
 export LC_ALL=C
@@ -29,16 +33,25 @@ trap 'rm -rf "$tmp"' EXIT
 cddohs() { PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 -m cddohs.cli "$@"; }
 digest() { sha256sum | cut -d' ' -f1; }
 # the digest of the lines that a python snippet prints with show(..., result):
-# repr(best_fitness), then evals, seed and the six counters of each RunResult
+# repr(best_fitness), then evals, seed and the six counters of each RunResult;
+# the hex bytes of its trace and best_position go to the file named by $2
 results() { PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 -c '
+import sys
 from cddohs.benchmarks import FUNCTION_IDS, make_function
 from cddohs.core import RunConfig
 from cddohs.harness import ALGORITHMS
+arrays = open(sys.argv[1], "w")
 def show(*args):
     *key, r = args
     print(*key, repr(r.best_fitness), r.evals, r.seed, r.skill, r.creativity, r.rest,
           r.pm_replacements, r.refresh_accepts, r.hm_accepts)
-'"$1" | digest; }
+    print(*key, r.trace.tobytes().hex(), r.best_position.tobytes().hex(), file=arrays)
+'"$1
+arrays.close()" "$2" | digest; }
+# exit status 0 where numpy runs its AVX-512 kernels
+avx512() { python3 -c '
+from numpy._core._multiarray_umath import __cpu_features__ as f
+raise SystemExit(not f.get("X86_V4"))'; }
 
 cddohs run --algo all --func all --runs 4 --iters 30 --seed 2023 --out "$tmp/X" >"$tmp/paths"
 cddohs run --algo all --func F6,F11,F16 --runs 10 --iters 30 --seed 2023 --out "$tmp/Y" >>"$tmp/paths"
@@ -59,15 +72,23 @@ for algo, run in ALGORITHMS.items():
     for func in FUNCTION_IDS:
         for r in range(3):
             show(algo, func, r, run(make_function(func), config, r))
-')"
+' "$tmp/runs.bytes")"
 echo "long         $(results '
 config = RunConfig(pop_size=10, max_iters=207, base_seed=2023)
 for algo, run in ALGORITHMS.items():
     for func in FUNCTION_IDS:
         if func != "F7":
             show(algo, func, run(make_function(func), config, 0))
-')"
+' "$tmp/long.bytes")"
+echo "trace runs   $(digest <"$tmp/runs.bytes")"
+echo "trace long   $(digest <"$tmp/long.bytes")"
 } >"$tmp/lines"
 
 cat "$tmp/lines"
-diff -u scripts/refactor_check.expected "$tmp/lines" >&2
+if avx512; then
+    diff -u scripts/refactor_check.expected "$tmp/lines" >&2
+else
+    echo "numpy runs without its AVX-512 kernels here: the trace lines are not compared" >&2
+    grep -v '^trace ' scripts/refactor_check.expected >"$tmp/expected"
+    grep -v '^trace ' "$tmp/lines" | diff -u "$tmp/expected" - >&2
+fi

@@ -127,33 +127,36 @@ def _penalty(x, a, k, m):
     return np.add.reduce(k * p, -1)
 
 
-def _components(x, i=0, j=1):
-    """Components i and j of each point of x (..., d), shaped as its points: numpy
-    scalars for one point, where ``x[..., i]`` alone is a 0-d array (see core.Problem)."""
-    return x[..., i][()], x[..., j][()]
+def _components(x):
+    """Components 0 and 1 of each point of x (..., d), shaped as its points: numpy
+    scalars for one point, where ``x[..., 0]`` alone is a 0-d array (see core.Problem)."""
+    return x[..., 0][()], x[..., 1][()]
+
+
+def _sin2_and_square(v, c):
+    """sin(c v)² and (v - 1)² of every component of v (..., d), each from one
+    ufunc call and squared in place."""
+    s = np.sin(c * v)
+    s *= s
+    q = v - 1.0
+    q *= q
+    return s, q
 
 
 def f12_penalized1(x):
     n = x.shape[-1]
     y = 1.0 + (x + 1.0) / 4.0
-    first, last = _components(y, 0, -1)
-    s, z = np.sin(np.pi * first), last - 1.0
-    core = (
-        10.0 * (s * s)
-        + np.add.reduce((y[..., :-1] - 1.0) ** 2 * (1.0 + 10.0 * np.sin(np.pi * y[..., 1:]) ** 2), -1)
-        + z * z
-    )
+    s, q = _sin2_and_square(y, np.pi)
+    first, last = s[..., 0][()], q[..., -1][()]  # numpy scalars at one point
+    core = 10.0 * first + np.add.reduce(q[..., :-1] * (1.0 + 10.0 * s[..., 1:]), -1) + last
     return np.pi / n * core + _penalty(x, 10.0, 100.0, 4.0)
 
 
 def f13_penalized2(x):
-    first, last = _components(x, 0, -1)
-    s, z, w = np.sin(3.0 * np.pi * first), last - 1.0, np.sin(2.0 * np.pi * last)
-    core = (
-        s * s
-        + np.add.reduce((x[..., :-1] - 1.0) ** 2 * (1.0 + np.sin(3.0 * np.pi * x[..., 1:]) ** 2), -1)
-        + z * z * (1.0 + w * w)
-    )
+    s, q = _sin2_and_square(x, 3.0 * np.pi)
+    first, last = s[..., 0][()], q[..., -1][()]  # numpy scalars at one point
+    w = np.sin(2.0 * np.pi * x[..., -1][()])
+    core = first + np.add.reduce(q[..., :-1] * (1.0 + s[..., 1:]), -1) + last * (1.0 + w * w)
     return 0.1 * core + _penalty(x, 5.0, 100.0, 4.0)
 
 

@@ -144,7 +144,8 @@ def init_state(problem: Problem, config: RunConfig, pm_size: int, rng) -> CddoSt
 def cddo_step(state: CddoState, problem: Problem, draws: Draws, t: int, rng) -> None:
     """Iteration t of ``draws`` over all agents; mutates state.
 
-    Branches and moves are computed for all agents at once, and the movers'
+    Branches and moves are computed for all agents at once (the creativity
+    branch's only in a step where a mover takes it), and the movers'
     candidates are evaluated in one call. In the agent-by-agent loop each
     agent sees the gbest of the agents before it, so the rows are kept up to
     the first one that is not >= gbest (it improves gbest, or is NaN): every
@@ -161,15 +162,16 @@ def cddo_step(state: CddoState, problem: Problem, draws: Draws, t: int, rng) -> 
     xmn = flat.take(draws.mn[t])
     gr = golden_ratio(xmn[:, :2], xmn[:, 2:])
     movers = (skill | (np.abs(gr - PHI) <= GR_TOLERANCE)).nonzero()[0]
-    # both branches' (A, B, X) at every mover, from rows gathered once; take()
+    n_skill = int(np.count_nonzero(skill))
+    # the skill branch's (A, B, X) at every mover, from rows gathered once; take()
     # is the gather without fancy indexing's cost per call
-    x_m = x.take(movers, 0)
-    skill_move = skill_update(x_m, lbest_x.take(movers, 0), gr.take(movers)[:, None],
-                              draws.sr_skill[t].take(movers, 0), draws.lr[t].take(movers, 0))
-    creative_move = creativity_update(state.pm.x.take(draws.pick[t].take(movers), 0),
-                                      draws.sr_creative[t].take(movers, 0))
-    creative = ~skill.take(movers)[:, None]
-    a, b, z = (np.where(creative, c, s) for s, c in zip(skill_move, creative_move))
+    a, b, z = skill_update(x.take(movers, 0), lbest_x.take(movers, 0), gr.take(movers)[:, None],
+                           draws.sr_skill[t].take(movers, 0), draws.lr[t].take(movers, 0))
+    if n_skill < len(movers):  # a creative mover: its rows take the creativity branch's
+        creative_move = creativity_update(state.pm.x.take(draws.pick[t].take(movers), 0),
+                                          draws.sr_creative[t].take(movers, 0))
+        creative = ~skill.take(movers)[:, None]
+        a, b, z = (np.where(creative, c, s) for s, c in zip((a, b, z), creative_move))
     if len(movers):
         # the movers' candidates and fitness, in agent order; a cut rebuilds the rows after it
         new = clamp(a + b * (state.gbest_x - z), problem)
@@ -192,7 +194,6 @@ def cddo_step(state: CddoState, problem: Problem, draws: Draws, t: int, rng) -> 
         lbest_x[improved] = new.take(better, 0)
         state.lbest_f[improved] = fit.take(better)
     state.evals += len(movers)
-    n_skill = int(np.count_nonzero(skill))
     state.skill += n_skill
     state.creativity += len(movers) - n_skill
     state.rest += len(x) - len(movers)

@@ -222,6 +222,64 @@ def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64)
 
 
+# F12 and F13 with the first component's sine taken apart from the others' and each
+# (v - 1)² taken twice: the reference that the objectives equal bit for bit
+def _f12_sines_apart(x):
+    n = x.shape[-1]
+    y = 1.0 + (x + 1.0) / 4.0
+    first, last = y[..., 0][()], y[..., -1][()]
+    s, z = np.sin(np.pi * first), last - 1.0
+    core = (
+        10.0 * (s * s)
+        + np.add.reduce((y[..., :-1] - 1.0) ** 2 * (1.0 + 10.0 * np.sin(np.pi * y[..., 1:]) ** 2), -1)
+        + z * z
+    )
+    return np.pi / n * core + benchmarks._penalty(x, 10.0, 100.0, 4.0)
+
+
+def _f13_sines_apart(x):
+    first, last = x[..., 0][()], x[..., -1][()]
+    s, z, w = np.sin(3.0 * np.pi * first), last - 1.0, np.sin(2.0 * np.pi * last)
+    core = (
+        s * s
+        + np.add.reduce((x[..., :-1] - 1.0) ** 2 * (1.0 + np.sin(3.0 * np.pi * x[..., 1:]) ** 2), -1)
+        + z * z * (1.0 + w * w)
+    )
+    return 0.1 * core + benchmarks._penalty(x, 5.0, 100.0, 4.0)
+
+
+# (objective, its form with the sines apart, the penalty's a, the optimum's component)
+PENALIZED = {"F12": (benchmarks.f12_penalized1, _f12_sines_apart, 10.0, -1.0),
+             "F13": (benchmarks.f13_penalized2, _f13_sines_apart, 5.0, 1.0)}
+
+
+def _penalized_edges(fid):
+    """Components at ±a, just inside and just beyond, ±0, the optimum and the box edges."""
+    _, _, a, opt = PENALIZED[fid]
+    s = SPECS[fid]
+    return [a, -a, np.nextafter(a, 0.0), -np.nextafter(a, 0.0), np.nextafter(a, 99.0),
+            -np.nextafter(a, 99.0), 0.0, -0.0, opt, s.lower, s.upper]
+
+
+@pytest.mark.parametrize("fid", PENALIZED)
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_f12_f13_equal_their_sines_apart(fid, data):
+    # one sine and one square per component give the same bits as before, at a
+    # point (numpy scalars), for rows and for (k, n, d) batches; within ±a the
+    # penalty is 0, so every bit of the rest shows
+    objective, apart, a, _ = PENALIZED[fid]
+    s = SPECS[fid]
+    shape = data.draw(st.sampled_from([(s.dim,), (7, s.dim), (3, 4, s.dim)]), label="shape")
+    reach = data.draw(st.sampled_from([a, s.upper]), label="reach")
+    edges = [e for e in _penalized_edges(fid) if abs(e) <= reach]
+    x = data.draw(hnp.arrays(np.float64, shape, elements=st.one_of(
+        st.sampled_from(edges), st.floats(-reach, reach))), label="x")
+    value, before = objective(x), apart(x)
+    assert type(value) is type(before)
+    assert _bits(value).tobytes() == _bits(before).tobytes()
+
+
 class TestRowContract:
     """Every objective maps rows (n, d) to (n,), row i bit for bit its
     one-point value: CDDO's batched step is exact only if this holds."""
@@ -317,6 +375,42 @@ def _python(code, disable=None):
     # numpy refuses a feature it cannot disable with an ImportWarning
     return subprocess.run([sys.executable, "-W", "error::ImportWarning", "-c", code],
                           env=env, capture_output=True, text=True)
+
+
+# F12 and F13 against their forms with the sines apart (this module's), at 20000
+# seeded points, half within ±a (where the penalty is 0) and half in the box, with
+# the edge components mixed in, as a batch, as rows and one point at a time;
+# exits 1 on a difference
+_PENALIZED_AGAINST_APART = f"""
+import sys
+import numpy as np
+sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
+from test_benchmarks import PENALIZED, SPECS, _penalized_edges
+from cddohs.core import make_rng
+for fid, (objective, apart, a, _) in PENALIZED.items():
+    s, rng = SPECS[fid], make_rng(int(fid[1:]))
+    reach = np.where(np.arange(5000) < 2500, a, s.upper)[:, None]
+    x = reach * (2.0 * rng.random((4, 5000, s.dim)) - 1.0)
+    edges = np.array(_penalized_edges(fid))
+    pick = edges[(rng.random(x.shape) * len(edges)).astype(int)]
+    mixed = (rng.random(x.shape) < 0.2) & (np.abs(pick) <= reach)
+    x[mixed] = pick[mixed]
+    for layout, xs in (("batch", x), ("rows", x[0]), ("points", x[1, 2400:2600])):
+        if layout == "points":
+            new, old = [objective(p) for p in xs], [apart(p) for p in xs]
+        else:
+            new, old = objective(xs), apart(xs)
+        if np.asarray(new).tobytes() != np.asarray(old).tobytes():
+            raise SystemExit(fid + " " + layout + " differs")
+"""
+
+
+def test_f12_f13_equal_their_sines_apart_without_avx512():
+    refused = _python("import numpy", NO_AVX512)
+    if refused.returncode:
+        pytest.skip(f"numpy refuses NPY_DISABLE_CPU_FEATURES={NO_AVX512!r}: {refused.stderr.strip()}")
+    proc = _python(_PENALIZED_AGAINST_APART, NO_AVX512)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_f7_and_f14_do_not_depend_on_cpu_dispatch():

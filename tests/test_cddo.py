@@ -405,6 +405,50 @@ class TestCddoStep:
         for now, before in zip(draws, draws_before):
             assert now.tobytes() == before.tobytes()
 
+    @staticmethod
+    def _gated_step(x, u, monkeypatch):
+        """One step from the (P, 8) block u at positions x, against reference_step
+        from the same block; the step's creativity_update calls."""
+        p = _problem(dim=3)
+        f = np.sum(x * x, axis=1)
+        g = int(np.argmin(f))
+        state = CddoState(x.copy(), x.copy(), f.copy(), x[g].copy(), float(f[g]),
+                          Archive.best_of(x, f, 2), evals=len(x))
+        ref = _copy(state)
+        calls = []
+
+        def spy(entry, sr):
+            calls.append(sr)
+            return creativity_update(entry, sr)
+
+        monkeypatch.setattr(cddo_mod, "creativity_update", spy)
+        _step(state, p, BlockRng(u))
+        reference_step(ref, p, BlockRng(u))
+        _assert_same(state, ref)
+        return state, calls
+
+    # four movers and two resting agents, whose golden ratio is (1 + 1) / 1 = 2
+    MOVERS = make_rng(41).uniform(-5.0, 5.0, (6, 3))
+    MOVERS[4:] = 1.0
+
+    def test_all_skill_step_skips_the_creativity_branch(self, monkeypatch):
+        u = make_rng(42).random((6, N_UNIFORMS))
+        u[:4, U_RHP] = 0.999  # rhp 9.98 > hp: the skill branch
+        u[4:, U_RHP] = 0.0    # rhp at the lower bound: rest
+        state, calls = self._gated_step(self.MOVERS, u, monkeypatch)
+        assert (state.skill, state.creativity, state.rest) == (4, 0, 2)
+        assert calls == []
+
+    def test_all_creative_step_equals_the_reference(self, monkeypatch):
+        x = self.MOVERS.copy()
+        x[:4, 1] = 0.618 * x[:4, 0]  # M = 0, N = 1: gr = 1.618, within phi's tolerance
+        u = make_rng(43).random((6, N_UNIFORMS))
+        u[:, U_RHP] = 0.0  # no agent takes the skill branch
+        u[:, U_GR] = 0.0
+        state, calls = self._gated_step(x, u, monkeypatch)
+        assert (state.skill, state.creativity, state.rest) == (0, 4, 2)
+        assert len(calls) == 1 and len(calls[0]) == 4  # once, on the four movers' rows
+
     @pytest.mark.parametrize("func", FUNCTION_IDS)
     def test_matches_agent_by_agent_reference(self, func):
         p = make_function(func)
