@@ -1,5 +1,5 @@
 #!/bin/sh
-# Refactor check: print eleven digests that a change which should not alter
+# Refactor check: print twelve digests that a change which should not alter
 # results must leave unchanged (see "Refactor check" in README.md), and compare
 # them with scripts/refactor_check.expected: on a mismatch the diff goes to
 # stderr and the exit status is 1.
@@ -10,8 +10,9 @@
 # prints, one per line: the digest of each grid's artifacts (the third grid,
 # one algorithm, writes an empty p-value table), of the first two grids' printed
 # path lists (with the output directory cut off), of `compare` on
-# summary.csv and then summary.json, of `rank --reference table6` and of
-# `list`. The artifacts print fitness with 7 significant digits, so the
+# summary.csv and then summary.json, of `rank --reference table6`, of `rank
+# --input` on the first grid's summary.csv and then summary.json (`rank run`),
+# and of `list`. The artifacts print fitness with 7 significant digits, so the
 # next two lines digest full-precision results: `repr(best_fitness)`, `evals`,
 # `seed` and the six counters (skill, creativity, rest, pm_replacements,
 # refresh_accepts, hm_accepts) of three short fixed-seed runs of each
@@ -65,6 +66,8 @@ echo "paths        $(sed "s|^$tmp/||" "$tmp/paths" | digest)"
 echo "compare      $({ cddohs compare --summary "$tmp/X/summary.csv"
                        cddohs compare --summary "$tmp/X/summary.json"; } | digest)"
 echo "rank         $(cddohs rank --reference table6 | digest)"
+echo "rank run     $({ cddohs rank --input "$tmp/X/summary.csv"
+                       cddohs rank --input "$tmp/X/summary.json"; } | digest)"
 echo "list         $(cddohs list | digest)"
 echo "runs         $(results '
 config = RunConfig(pop_size=20, max_iters=50, base_seed=2023)

@@ -88,7 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rank = sub.add_parser("rank", help="rank algorithms from per-function averages")
     source = p_rank.add_mutually_exclusive_group(required=True)
-    source.add_argument("--input", help="CSV or JSON with a 'func' column plus one column per algorithm")
+    source.add_argument("--input", help="run's summary.csv or .json, or a CSV or JSON with a 'func' "
+                        "column plus one column per algorithm")
     source.add_argument("--reference", choices=["table6"], help="use embedded data")
     p_rank.set_defaults(fn=cmd_rank)
 

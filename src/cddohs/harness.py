@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
+import numpy as np
+
 from . import reference
 from .benchmarks import FUNCTION_IDS, make_function
 from .cddo import cddo_run
@@ -78,28 +80,38 @@ def run_cell(algo: str, func: str, config: RunConfig) -> list[RunResult]:
 _fmt = "{:.6e}".format  # a fitness or p-value cell
 
 
-def _json_cells(column, text: list[str]) -> list[str]:
-    """A column's cells as JSON values, by its first cell: an int column is its
-    str() text, a str column is encoded."""
-    return list(map(encode_basestring_ascii, column)) if isinstance(column[0], str) else text
+def _fmt_trace(trace: np.ndarray) -> list[str]:
+    """``_fmt`` of each value of a float64 trace, once per stretch of equal bit patterns (a
+    gbest repeats until it moves), so 0.0 and -0.0 never merge."""
+    bits = trace.view(np.int64)
+    starts = np.flatnonzero(np.r_[True, bits[1:] != bits[:-1]])
+    counts = np.diff(starts, append=len(bits)).tolist()
+    texts = map(_fmt, trace[starts].tolist())
+    return list(itertools.chain.from_iterable(map(itertools.repeat, texts, counts)))
 
 
 def _write(out: Path, name: str, header: list[str], columns) -> list[Path]:
     """Write one table, its columns in header order, atomically as out/name.csv and then
     out/name.json; the two paths. The JSON is byte for byte json.dumps of the rows as dicts
-    (indent=2, sort_keys=True), filled from one row template with each cell encoded once:
-    json.dumps encodes in pure Python, token by token, when indented."""
-    text = [list(map(str, column)) for column in columns]
+    (indent=2, sort_keys=True), one join of the keys' text, built once per table, and the
+    cells, each encoded once: json.dumps encodes in pure Python, token by token, when indented."""
+    strs = [isinstance(column[0], str) for column in columns]
+    text = [column if s else list(map(str, column)) for column, s in zip(columns, strs)]
+    # as JSON values: a str column is encoded, an int column is its str() text
+    values = [list(map(encode_basestring_ascii, c)) if s else c for c, s in zip(text, strs)]
     paths = []
     for fmt in ("csv", "json"):
         if fmt == "csv":
             body = "\n".join([",".join(header), *map(",".join, zip(*text))]) + "\n"
-        else:
-            cols = sorted(zip(header, columns, text), key=lambda col: col[0])
-            template = "\n  {\n%s\n  }" % ",\n".join(
-                "    %s: %%s" % encode_basestring_ascii(key).replace("%", "%%") for key, _, _ in cols)
-            items = ",".join(map(template.__mod__, zip(*[_json_cells(c, t) for _, c, t in cols])))
-            body = f"[{items}\n]\n" if items else "[]\n"
+        elif not columns:
+            body = "[]\n"
+        else:  # row i: ',\n  {\n    "a": ' a[i] ',\n    "b": ' b[i] ... '\n  }'
+            cols = sorted(zip(header, values), key=lambda col: col[0])
+            seps = [",\n  {\n    ", *[",\n    "] * (len(cols) - 1)]
+            parts = [part for sep, (key, cells) in zip(seps, cols)
+                     for part in (itertools.repeat(f"{sep}{encode_basestring_ascii(key)}: "), cells)]
+            rows = "".join(itertools.chain.from_iterable(zip(*parts, itertools.repeat("\n  }"))))
+            body = f"[{rows[1:]}\n]\n"  # the first row's comma goes
         paths.append(out / f"{name}.{fmt}")
         tmp = out / f"{name}.{fmt}.tmp"
         tmp.write_text(body)
@@ -129,12 +141,12 @@ def run_experiment(plan: ExperimentPlan) -> dict:
 
     written = [_write(out, "summary", SUMMARY_HEADER, list(zip(*summary_rows))),
                _write(out, "pvalues", PVALUES_HEADER, list(zip(*pvalue_rows)))]
+    # the run and iter columns: every cell holds n_runs traces of max_iters entries
+    runs, iters = range(plan.config.n_runs), range(plan.config.max_iters)
+    index = [[r for r in runs for _ in iters], [*iters] * len(runs)]
     for (algo, func), results in cells.items():  # one cell's columns at a time
-        traces = [res.trace.tolist() for res in results]
-        columns = [[r for r, trace in enumerate(traces) for _ in trace],
-                   [t for trace in traces for t in range(len(trace))],
-                   [g for trace in traces for g in map(_fmt, trace)]]
-        written.append(_write(out, f"convergence_{algo}_{func}", CONVERGENCE_HEADER, columns))
+        gbest = _fmt_trace(np.concatenate([res.trace for res in results]))
+        written.append(_write(out, f"convergence_{algo}_{func}", CONVERGENCE_HEADER, [*index, gbest]))
     return {"paths": [str(p) for per_format in zip(*written) for p in per_format]}
 
 
@@ -183,10 +195,15 @@ def load_summary(path) -> dict:
 
 
 def load_averages(path) -> dict:
-    """Read a CSV or JSON table with a 'func' column and one column of averages
-    per algorithm into {func: {algo: avg}}, the input of ``rank_algorithms``."""
-    averages = {}
-    for row in _rows(path, "func"):
+    """Read a CSV or JSON table into {func: {algo: avg}}, the input of ``rank_algorithms``.
+    Its columns decide its shape: with an 'algo' column it is ``run``'s summary, read by
+    ``load_summary``; otherwise a 'func' column and one column of averages per algorithm."""
+    rows, averages = _rows(path, "func"), {}
+    if "algo" in rows[0]:
+        for (algo, func), avg in load_summary(path).items():
+            averages.setdefault(func, {})[algo] = avg
+        return averages
+    for row in rows:
         func = row.pop("func")
         if not row:
             raise ValueError(f"{path}: no algorithm columns")

@@ -11,8 +11,8 @@ import pytest
 from cddohs.cli import build_parser, main
 from cddohs.core import RunConfig
 from cddohs.harness import (
-    ALGORITHMS, ExperimentPlan, _write, cell_seed, compare_to_reference, load_summary,
-    run_cell, run_experiment,
+    ALGORITHMS, ExperimentPlan, _fmt, _fmt_trace, _write, cell_seed, compare_to_reference,
+    load_averages, load_summary, run_cell, run_experiment,
 )
 
 TINY = RunConfig(pop_size=8, max_iters=20, n_runs=3, base_seed=7)
@@ -193,6 +193,35 @@ def test_writer_matches_json_dumps(tmp_path, rows):
         assert (csv_text, json_text) == ("run,note,share%,iter\n", "[]\n")
 
 
+# one column, a key that JSON escapes (a quote and a non-ASCII character), and a
+# str column whose cells repeat
+@pytest.mark.parametrize("header, rows", [
+    (["gbest"], [["1.000000e+00"], ["5.000000e-01"]]),
+    (['say "hi"', "naïve ∑", "iter"], [[1, "a", 0], [2, "b", 1]]),
+    (["run", "gbest"], [[0, "2.000000e+00"], [0, "2.000000e+00"], [1, "2.000000e+00"]]),
+], ids=["one-column", "escaped-key", "repeated-cells"])
+def test_writer_tables_match_json_dumps(tmp_path, header, rows):
+    paths = _write(tmp_path, "t", header, list(zip(*rows)))
+    csv_text = "\n".join([",".join(map(str, row)) for row in [header, *rows]]) + "\n"
+    json_text = json.dumps([dict(zip(header, row)) for row in rows],
+                           indent=2, sort_keys=True) + "\n"
+    assert [path.read_text() for path in paths] == [csv_text, json_text]
+
+
+ULP = np.nextafter(1.0, 2.0)
+
+
+@pytest.mark.parametrize("trace", [
+    [2.5] * 5, [3.0], [0.0, -0.0], [np.inf, -np.inf], [5e-324, 5e-324, 1e-310],
+    [1.0, ULP], [4.0, 4.0, -0.0, 0.0, 0.0, 1.0, ULP, ULP, 1.0],
+], ids=["constant", "one-element", "signed-zeros", "infinities", "subnormal", "one-ulp",
+        "stretches"])
+def test_trace_formatter_formats_every_value(trace):
+    # a stretch is equal bits: 0.0 and -0.0 compare equal but print apart
+    trace = np.array(trace)
+    assert _fmt_trace(trace) == list(map(_fmt, trace.tolist()))
+
+
 class TestCompare:
     def test_empty_summary_gives_empty_wins(self):
         report = compare_to_reference({})
@@ -283,6 +312,26 @@ class TestCli:
         assert rc == 0
         assert "wins vs hs" in capsys.readouterr().out
 
+    def test_rank_reads_the_summary_that_run_writes(self, tmp_path, capsys):
+        assert main(["run", "--algo", "all", "--func", "F1,F16", "--pop", "8", "--iters", "20",
+                     "--runs", "3", "--seed", "1", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        printed = []
+        for fmt in ("csv", "json"):
+            assert main(["rank", "--input", str(tmp_path / f"summary.{fmt}")]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert sorted(line.split("\t")[0] for line in printed[0].splitlines()) == sorted(ALGORITHMS)
+
+    def test_rank_takes_a_long_or_a_wide_table(self, tmp_path):
+        # the columns decide the shape: an 'algo' column makes one row per (algo, func)
+        wide, long = tmp_path / "wide.csv", tmp_path / "long.json"
+        wide.write_text("func,a,b\nF1,1,2\nF2,4,3\n")
+        long.write_text(json.dumps([{"algo": a, "func": f, "avg": v, "std": 0} for f, a, v in
+                                    [("F1", "a", 1), ("F1", "b", 2), ("F2", "a", 4), ("F2", "b", 3)]]))
+        assert load_averages(wide) == load_averages(long) == {
+            "F1": {"a": 1.0, "b": 2.0}, "F2": {"a": 4.0, "b": 3.0}}
+
     @pytest.mark.parametrize("args, message", [
         (["--runs", "1"], "at least 2 runs per cell"),
         (["--runs", "0"], "n_runs must be"),
@@ -344,6 +393,9 @@ class TestCli:
         pytest.param("rank", "avgs.csv", "func,a,b\nF1,1,2\nF1,2,1\n", id="repeated-func"),
         pytest.param("compare", "summary.csv", "algo,func,avg\nhs,F1,1\nhs,F1,2\n",
                      id="repeated-cell"),
+        pytest.param("rank", "summary.csv", "algo,func,avg\nhs,F1,1\nhs,F1,2\n",
+                     id="rank-repeated-cell"),
+        pytest.param("rank", "summary.csv", "algo,func,std\nhs,F1,1\n", id="rank-no-avg-column"),
         pytest.param("rank", "avgs.csv", "func\nF1\nF2\n", id="no-algorithm-column"),
         pytest.param("rank", "avgs.json", '[{"func": "F1", "a": true, "b": 2}]', id="json-true-cell"),
         pytest.param("compare", "summary.json", '[{"algo": "hs", "func": "F1", "avg": false}]',
