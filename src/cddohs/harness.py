@@ -80,25 +80,30 @@ def run_cell(algo: str, func: str, config: RunConfig) -> list[RunResult]:
 _fmt = "{:.6e}".format  # a fitness or p-value cell
 
 
-def _fmt_trace(trace: np.ndarray) -> list[str]:
-    """``_fmt`` of each value of a float64 trace, once per stretch of equal bit patterns (a
-    gbest repeats until it moves), so 0.0 and -0.0 never merge."""
-    bits = trace.view(np.int64)
+def _cells(column) -> tuple:
+    """A table column as artifact text, by its values' type: (CSV cells, JSON values). A str is
+    itself, JSON-encoded; an int is its str() in both; a float is its ``_fmt`` text as a JSON
+    string, once per stretch of equal bits (a gbest repeats until it moves; 0.0 is not -0.0)."""
+    if isinstance(column[0], str):
+        return column, list(map(encode_basestring_ascii, column))
+    if not isinstance(column[0], float):  # np.float64 is a float
+        text = list(map(str, column))
+        return text, text
+    floats = np.asarray(column, dtype=np.float64)
+    bits = floats.view(np.int64)
     starts = np.flatnonzero(np.r_[True, bits[1:] != bits[:-1]])
     counts = np.diff(starts, append=len(bits)).tolist()
-    texts = map(_fmt, trace[starts].tolist())
-    return list(itertools.chain.from_iterable(map(itertools.repeat, texts, counts)))
+    texts = list(map(_fmt, floats[starts].tolist()))  # each stretch's text, repeated
+    return tuple(list(itertools.chain.from_iterable(map(itertools.repeat, cells, counts)))
+                 for cells in (texts, map(encode_basestring_ascii, texts)))
 
 
 def _write(out: Path, name: str, header: list[str], columns) -> list[Path]:
-    """Write one table, its columns in header order, atomically as out/name.csv and then
-    out/name.json; the two paths. The JSON is byte for byte json.dumps of the rows as dicts
-    (indent=2, sort_keys=True), one join of the keys' text, built once per table, and the
-    cells, each encoded once: json.dumps encodes in pure Python, token by token, when indented."""
-    strs = [isinstance(column[0], str) for column in columns]
-    text = [column if s else list(map(str, column)) for column, s in zip(columns, strs)]
-    # as JSON values: a str column is encoded, an int column is its str() text
-    values = [list(map(encode_basestring_ascii, c)) if s else c for c, s in zip(text, strs)]
+    """Write one table, its columns in header order as ``_cells`` pairs, atomically as
+    out/name.csv and then out/name.json; the two paths. The JSON is byte for byte json.dumps
+    of the rows as dicts (indent=2, sort_keys=True), one join of the keys' text, built once per
+    table, and the cells: json.dumps encodes in pure Python, token by token, when indented."""
+    text, values = zip(*columns) if columns else ((), ())
     paths = []
     for fmt in ("csv", "json"):
         if fmt == "csv":
@@ -134,18 +139,18 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     summary_rows = []
     for (algo, func), fits in finals.items():
         s = summarize(fits)
-        summary_rows.append([algo, func, _fmt(s.avg), _fmt(s.std), _fmt(min(fits)),
-                             _fmt(max(fits)), s.n, cells[algo, func][0].seed])
-    pvalue_rows = [[f, a, b, _fmt(wilcoxon_rank_sum(finals[a, f], finals[b, f]))]
+        summary_rows.append([algo, func, s.avg, s.std, min(fits), max(fits), s.n,
+                             cells[algo, func][0].seed])
+    pvalue_rows = [[f, a, b, wilcoxon_rank_sum(finals[a, f], finals[b, f])]
                    for f in funcs for a, b in itertools.combinations(algos, 2)]
 
-    written = [_write(out, "summary", SUMMARY_HEADER, list(zip(*summary_rows))),
-               _write(out, "pvalues", PVALUES_HEADER, list(zip(*pvalue_rows)))]
+    written = [_write(out, "summary", SUMMARY_HEADER, [*map(_cells, zip(*summary_rows))]),
+               _write(out, "pvalues", PVALUES_HEADER, [*map(_cells, zip(*pvalue_rows))])]
     # the run and iter columns: every cell holds n_runs traces of max_iters entries
     runs, iters = range(plan.config.n_runs), range(plan.config.max_iters)
-    index = [[r for r in runs for _ in iters], [*iters] * len(runs)]
+    index = [_cells([r for r in runs for _ in iters]), _cells([*iters] * len(runs))]
     for (algo, func), results in cells.items():  # one cell's columns at a time
-        gbest = _fmt_trace(np.concatenate([res.trace for res in results]))
+        gbest = _cells(np.concatenate([res.trace for res in results]))
         written.append(_write(out, f"convergence_{algo}_{func}", CONVERGENCE_HEADER, [*index, gbest]))
     return {"paths": [str(p) for per_format in zip(*written) for p in per_format]}
 
@@ -197,19 +202,25 @@ def load_summary(path) -> dict:
 def load_averages(path) -> dict:
     """Read a CSV or JSON table into {func: {algo: avg}}, the input of ``rank_algorithms``.
     Its columns decide its shape: with an 'algo' column it is ``run``'s summary, read by
-    ``load_summary``; otherwise a 'func' column and one column of averages per algorithm."""
+    ``load_summary``; otherwise a 'func' column and one column of averages per algorithm.
+    Either way, a function without an algorithm's average is an error naming both."""
     rows, averages = _rows(path, "func"), {}
     if "algo" in rows[0]:
         for (algo, func), avg in load_summary(path).items():
             averages.setdefault(func, {})[algo] = avg
-        return averages
-    for row in rows:
-        func = row.pop("func")
-        if not row:
-            raise ValueError(f"{path}: no algorithm columns")
-        if func in averages:
-            raise ValueError(f"{path}: {func}: repeated row")
-        averages[func] = {algo: _number(path, f"{func}/{algo}", v) for algo, v in row.items()}
+    else:
+        for row in rows:
+            func = row.pop("func")
+            if func in averages:
+                raise ValueError(f"{path}: {func}: repeated row")
+            averages[func] = {algo: _number(path, f"{func}/{algo}", v) for algo, v in row.items()}
+    algos = dict.fromkeys(itertools.chain.from_iterable(averages.values()))  # in table order
+    if not algos:
+        raise ValueError(f"{path}: no algorithm columns")
+    for func, avgs in averages.items():
+        missing = [algo for algo in algos if algo not in avgs]
+        if missing:
+            raise ValueError(f"{path}: {func}: no {missing[0]!r} average")
     return averages
 
 

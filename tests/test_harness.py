@@ -3,15 +3,17 @@ import inspect
 import json
 import re
 import shlex
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cddohs import harness
 from cddohs.cli import build_parser, main
 from cddohs.core import RunConfig
 from cddohs.harness import (
-    ALGORITHMS, ExperimentPlan, _fmt, _fmt_trace, _write, cell_seed, compare_to_reference,
+    ALGORITHMS, ExperimentPlan, _cells, _fmt, _write, cell_seed, compare_to_reference,
     load_averages, load_summary, run_cell, run_experiment,
 )
 
@@ -171,39 +173,48 @@ class TestArtifacts:
         assert suffixes == [".csv"] * 8 + [".json"] * 8
 
 
-# a header out of sorted order (and with a "%"), str cells that JSON escapes,
-# and int cells: the two kinds of column run_experiment writes
-WRITER_HEADER = ["run", "note", "share%", "iter"]
-WRITER_ROWS = [[0, 'say "hi"', "1.000000e+00", 12],
-               [1, "back\\slash", "2.500000e-01", 3],
-               [10, "naïve ∑", "-3.500000e-07", 0]]
+def _as_text(rows):
+    """The rows as the artifacts show them: a float is its _fmt text, in the CSV and as a
+    JSON string."""
+    return [[_fmt(v) if isinstance(v, float) else v for v in row] for row in rows]
+
+
+# a header out of sorted order (and with a "%"), str cells that JSON escapes, int
+# cells and float cells: the kinds of column run_experiment writes
+WRITER_HEADER = ["run", "note", "share%", "iter", "gbest"]
+WRITER_ROWS = [[0, 'say "hi"', "1.000000e+00", 12, 1.0],
+               [1, "back\\slash", "2.500000e-01", 3, -0.0],
+               [10, "naïve ∑", "-3.500000e-07", 0, 2.5e-310]]
 
 
 @pytest.mark.parametrize("rows", [WRITER_ROWS, []], ids=["rows", "empty"])
 def test_writer_matches_json_dumps(tmp_path, rows):
     # as run_experiment passes its rows: an empty table has no columns
-    paths = _write(tmp_path, "t", WRITER_HEADER, list(zip(*rows)))
+    paths = _write(tmp_path, "t", WRITER_HEADER, [*map(_cells, zip(*rows))])
     assert paths == [tmp_path / "t.csv", tmp_path / "t.json"]
-    csv_text = "\n".join([",".join(map(str, row)) for row in [WRITER_HEADER, *rows]]) + "\n"
-    json_text = json.dumps([dict(zip(WRITER_HEADER, row)) for row in rows],
+    shown = _as_text(rows)
+    csv_text = "\n".join([",".join(map(str, row)) for row in [WRITER_HEADER, *shown]]) + "\n"
+    json_text = json.dumps([dict(zip(WRITER_HEADER, row)) for row in shown],
                            indent=2, sort_keys=True) + "\n"
     assert paths[0].read_text() == csv_text
     assert paths[1].read_text() == json_text
     if not rows:
-        assert (csv_text, json_text) == ("run,note,share%,iter\n", "[]\n")
+        assert (csv_text, json_text) == ("run,note,share%,iter,gbest\n", "[]\n")
 
 
-# one column, a key that JSON escapes (a quote and a non-ASCII character), and a
-# str column whose cells repeat
+# one column, a key that JSON escapes (a quote and a non-ASCII character), a str
+# column whose cells repeat, and a float column whose values repeat
 @pytest.mark.parametrize("header, rows", [
     (["gbest"], [["1.000000e+00"], ["5.000000e-01"]]),
     (['say "hi"', "naïve ∑", "iter"], [[1, "a", 0], [2, "b", 1]]),
     (["run", "gbest"], [[0, "2.000000e+00"], [0, "2.000000e+00"], [1, "2.000000e+00"]]),
-], ids=["one-column", "escaped-key", "repeated-cells"])
+    (["run", "gbest"], [[0, 2.0], [0, 2.0], [1, 0.0], [1, -0.0], [2, 2.0]]),
+], ids=["one-column", "escaped-key", "repeated-cells", "float-column"])
 def test_writer_tables_match_json_dumps(tmp_path, header, rows):
-    paths = _write(tmp_path, "t", header, list(zip(*rows)))
-    csv_text = "\n".join([",".join(map(str, row)) for row in [header, *rows]]) + "\n"
-    json_text = json.dumps([dict(zip(header, row)) for row in rows],
+    paths = _write(tmp_path, "t", header, [*map(_cells, zip(*rows))])
+    shown = _as_text(rows)
+    csv_text = "\n".join([",".join(map(str, row)) for row in [header, *shown]]) + "\n"
+    json_text = json.dumps([dict(zip(header, row)) for row in shown],
                            indent=2, sort_keys=True) + "\n"
     assert [path.read_text() for path in paths] == [csv_text, json_text]
 
@@ -217,9 +228,31 @@ ULP = np.nextafter(1.0, 2.0)
 ], ids=["constant", "one-element", "signed-zeros", "infinities", "subnormal", "one-ulp",
         "stretches"])
 def test_trace_formatter_formats_every_value(trace):
-    # a stretch is equal bits: 0.0 and -0.0 compare equal but print apart
-    trace = np.array(trace)
-    assert _fmt_trace(trace) == list(map(_fmt, trace.tolist()))
+    # _cells of a float column: a trace is a float64 array, a summary or p-value column a
+    # tuple of Python floats; a stretch is equal bits: 0.0 and -0.0 compare equal but print apart
+    text = list(map(_fmt, trace))
+    for column in (np.array(trace), tuple(map(float, trace))):
+        assert _cells(column) == (text, list(map(encode_basestring_ascii, text)))
+
+
+def test_grid_converts_each_column_once(tmp_path, monkeypatch):
+    calls = []
+
+    def recording(column):
+        calls.append(column)
+        return _cells(column)
+
+    monkeypatch.setattr(harness, "_cells", recording)
+    run_experiment(ExperimentPlan(algorithms=["cddo", "hs"], functions=["F1", "F16"],
+                                  config=TINY, output_dir=tmp_path))
+    # each summary and p-value column once, the run and iter columns once per grid, and
+    # then each of the 4 cells' gbest
+    runs, iters = range(TINY.n_runs), range(TINY.max_iters)
+    tables = len(harness.SUMMARY_HEADER) + len(harness.PVALUES_HEADER)
+    assert len(calls) == tables + 2 + 4
+    assert calls[tables:tables + 2] == [[r for r in runs for _ in iters], [*iters] * len(runs)]
+    assert all(len(c) == len(runs) * len(iters) and isinstance(c[0], float)
+               for c in calls[tables + 2:])
 
 
 class TestCompare:
@@ -331,6 +364,17 @@ class TestCli:
                                     [("F1", "a", 1), ("F1", "b", 2), ("F2", "a", 4), ("F2", "b", 3)]]))
         assert load_averages(wide) == load_averages(long) == {
             "F1": {"a": 1.0, "b": 2.0}, "F2": {"a": 4.0, "b": 3.0}}
+
+    @pytest.mark.parametrize("name, text, missing", [
+        ("summary.csv", "algo,func,avg\nhs,F1,1\ncddo,F1,2\nhs,F2,3\n", "F2: no 'cddo' average"),
+        ("avgs.json", '[{"func": "F1", "a": 1, "b": 2}, {"func": "F2", "a": 3}]',
+         "F2: no 'b' average"),
+    ], ids=["long", "wide"])
+    def test_rank_names_the_missing_cell(self, tmp_path, capsys, name, text, missing):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["rank", "--input", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {missing}\n"
 
     @pytest.mark.parametrize("args, message", [
         (["--runs", "1"], "at least 2 runs per cell"),
