@@ -8,7 +8,7 @@ elite) when its golden ratio is near phi, or stays put. An elite archive
 
 A run draws a (P, 8) block of uniforms per iteration (after the hybrid refresh's),
 BLOCK iterations in one call, and takes every agent's choices from them once per
-block. One iteration gathers hand pressures and golden ratios from the positions;
+block. One iteration reads HP and the golden ratios' components in one gather;
 each mover's candidate is clamp(A + B (gbest - X)), (A, B, X) = (gr x + sr (lbest
 - x), lr, x) in the skill branch and (entry, sr, 0) in the creativity branch, and
 one objective call evaluates them. The result is that of the original
@@ -67,8 +67,7 @@ class Draws(NamedTuple):
     Indices into the positions are flat, into x.ravel() of x (P, d)."""
 
     rhp: np.ndarray          # RHP, uniform in the box
-    hp: np.ndarray           # the HP component
-    mn: np.ndarray           # (n, P, 4): M, M, N, N of two golden-ratio draws
+    gather: np.ndarray       # (n, P, 5): HP, then M, N, M', N' of two golden-ratio draws
     sr_skill: np.ndarray     # (n, P, 1), as lr and sr_creative
     lr: np.ndarray
     sr_creative: np.ndarray
@@ -80,14 +79,10 @@ def choices(u: np.ndarray, pm_size: int, problem: Problem) -> Draws:
     pattern memory of pm_size rows. Each golden-ratio draw takes M uniformly
     of the d components and N != M uniformly of the other d - 1."""
     d = problem.dim
-    row = np.arange(u.shape[1]) * d  # where each agent's position starts in x.ravel()
-    mn = u[..., U_GR]  # M, N, M, N
-    m = indices(mn[..., 0::2], d)
-    n = indices(mn[..., 1::2], d - 1)
-    n += n >= m
-    return Draws(rhp=scale(u[..., U_RHP], problem.lower, problem.upper),
-                 hp=indices(u[..., U_HP], d) + row,
-                 mn=np.concatenate([m, n], axis=-1) + row[:, None],
+    gather = indices(u[..., U_HP:U_GR.stop], np.array([d, d, d - 1, d, d - 1]))
+    gather[..., 2::2] += gather[..., 2::2] >= gather[..., 1::2]  # each N past its M
+    gather += np.arange(0, u.shape[1] * d, d)[:, None]  # each agent's row start in x.ravel()
+    return Draws(rhp=scale(u[..., U_RHP], problem.lower, problem.upper), gather=gather,
                  sr_skill=scale(u[..., U_SR, None], *SR_LR_HIGH),
                  lr=scale(u[..., U_LR_PM, None], *SR_LR_HIGH),
                  sr_creative=scale(u[..., U_SR, None], *SR_LR_LOW),
@@ -158,9 +153,9 @@ def cddo_step(state: CddoState, problem: Problem, draws: Draws, t: int, rng) -> 
     """
     x, lbest_x = state.x, state.lbest_x
     flat = x.ravel()
-    skill = flat.take(draws.hp[t]) < draws.rhp[t]
-    xmn = flat.take(draws.mn[t])
-    gr = golden_ratio(xmn[:, :2], xmn[:, 2:])
+    g = flat.take(draws.gather[t])  # HP, M, N, M', N' per agent
+    skill = g[:, 0] < draws.rhp[t]
+    gr = golden_ratio(g[:, 1::2], g[:, 2::2])
     movers = (skill | (np.abs(gr - PHI) <= GR_TOLERANCE)).nonzero()[0]
     n_skill = int(np.count_nonzero(skill))
     # the skill branch's (A, B, X) at every mover, from rows gathered once; take()

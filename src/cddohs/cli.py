@@ -51,7 +51,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    results = reference.TABLE6 if args.reference else load_averages(args.input)
+    results = reference.AVERAGES[args.reference] if args.reference else load_averages(args.input)
     table = rank_algorithms(results)
     for algo in sorted(table.scores, key=table.scores.get):
         print(f"{algo}\t{table.scores[algo]:.3f}")
@@ -90,7 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     source = p_rank.add_mutually_exclusive_group(required=True)
     source.add_argument("--input", help="run's summary.csv or .json, or a CSV or JSON with a 'func' "
                         "column plus one column per algorithm")
-    source.add_argument("--reference", choices=["table6"], help="use embedded data")
+    source.add_argument("--reference", choices=sorted(reference.AVERAGES), help="use published "
+                        "averages: CDDO-HS/CDDO/HS (table2) or CEC-C06 2019 (table6)")
     p_rank.set_defaults(fn=cmd_rank)
 
     p_list = sub.add_parser("list", help="print the benchmark function registry")

@@ -131,9 +131,10 @@ def scale(u, lo: float, hi: float):
     return lo + (hi - lo) * u
 
 
-def indices(u: np.ndarray, n: int) -> np.ndarray:
+def indices(u: np.ndarray, n: int | np.ndarray) -> np.ndarray:
     """Uniforms u in [0, 1) mapped onto the integers 0 .. n-1, each with
-    probability 1/n (floor(u * n), kept below n against rounding up)."""
+    probability 1/n (floor(u * n), kept below n against rounding up). n may be
+    an array of sizes, broadcast over u's last axis."""
     return np.minimum((u * n).astype(np.intp), n - 1)
 
 

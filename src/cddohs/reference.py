@@ -48,6 +48,10 @@ TABLE6: dict[str, dict[str, float]] = {
     "F10": {"CDDO-HS": 1.554e+01, "ChOA": 2.150e+01, "BOA": 2.150e+01, "FOX": 2.098e+01, "GWO-WOA": 2.156e+01, "WOA-BAT": 2.120e+01, "DCSO": 2.113e+01},
 }
 
+# The averages that `rank --reference` ranks, func -> {algo: avg}.
+AVERAGES = {"table2": {f: {a: avg for a, (avg, _) in row.items()} for f, row in TABLE2.items()},
+            "table6": TABLE6}
+
 # Published per-algorithm ranking scores for the TABLE6 comparison.
 TABLE8_SCORES = {
     "CDDO-HS": 2.5, "ChOA": 5.8, "BOA": 6.0, "FOX": 3.1,

@@ -49,6 +49,12 @@ class TestRegistry:
         f13 = make_function("F13")
         assert (f13.dim, f13.lower, f13.upper) == (30, -50, 50)
 
+    @pytest.mark.parametrize("fid", [f for f in FUNCTION_IDS if SPECS[f].minimizer])
+    def test_minimizer_lies_in_the_box(self, fid):
+        # the optimizers search the box, so a minimizer outside it cannot be found
+        s = SPECS[fid]
+        assert all(s.lower <= v <= s.upper for v in s.minimizer), (fid, s.lower, s.upper)
+
     def test_only_f7_is_stochastic(self):
         assert [f for f in FUNCTION_IDS if SPECS[f].stochastic] == ["F7"]
 
@@ -209,7 +215,7 @@ def _penalty_where(x, a, k, m):
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_penalty_equals_the_where_form(a, data):
-    # the power is computed only where it is kept; the result is the same bits
+    # the power of max(|x| - a, 0) at every component: +0.0 inside ±a, the same bits
     edges = [a, -a, np.nextafter(a, 0.0), -np.nextafter(a, 99.0), 0.0, -0.0]
     shape = data.draw(st.sampled_from([(10,), (30,), (7, 10), (20, 30)]), label="shape")
     x = data.draw(hnp.arrays(np.float64, shape, elements=st.one_of(
@@ -379,13 +385,14 @@ def _python(code, disable=None):
 
 # F12 and F13 against their forms with the sines apart (this module's), at 20000
 # seeded points, half within ±a (where the penalty is 0) and half in the box, with
-# the edge components mixed in, as a batch, as rows and one point at a time;
-# exits 1 on a difference
+# the edge components mixed in, as a batch, as rows and one point at a time, and
+# the penalty of the batch against its where form; exits 1 on a difference
 _PENALIZED_AGAINST_APART = f"""
 import sys
 import numpy as np
 sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
-from test_benchmarks import PENALIZED, SPECS, _penalized_edges
+from test_benchmarks import PENALIZED, SPECS, _penalized_edges, _penalty_where
+from cddohs.benchmarks import _penalty
 from cddohs.core import make_rng
 for fid, (objective, apart, a, _) in PENALIZED.items():
     s, rng = SPECS[fid], make_rng(int(fid[1:]))
@@ -402,6 +409,8 @@ for fid, (objective, apart, a, _) in PENALIZED.items():
             new, old = objective(xs), apart(xs)
         if np.asarray(new).tobytes() != np.asarray(old).tobytes():
             raise SystemExit(fid + " " + layout + " differs")
+    if _penalty(x, a, 100.0, 4.0).tobytes() != _penalty_where(x, a, 100.0, 4.0).tobytes():
+        raise SystemExit(fid + " penalty differs from its where form")
 """
 
 

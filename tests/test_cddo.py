@@ -11,8 +11,8 @@ from cddohs import cddo as cddo_mod
 from cddohs import core, hs, hybrid
 from cddohs.benchmarks import FUNCTION_IDS, make_function
 from cddohs.cddo import (
-    BLOCK, GR_TOLERANCE, N_UNIFORMS, PHI, SR_LR_HIGH, SR_LR_LOW, U_GR, U_RHP, CddoState, choices,
-    cddo_run, cddo_step, creativity_update, golden_ratio, init_state, skill_update,
+    BLOCK, GR_TOLERANCE, N_UNIFORMS, PHI, SR_LR_HIGH, SR_LR_LOW, U_GR, U_HP, U_RHP, CddoState,
+    cddo_run, cddo_step, choices, creativity_update, golden_ratio, init_state, skill_update,
 )
 from cddohs.core import Archive, Problem, RunConfig, clamp, evaluate, make_rng
 from cddohs.hybrid import cddo_hs_run
@@ -35,7 +35,7 @@ def _draws(u, problem, pm_size=1):
 def _hand_pressures(x, u, problem):
     """(HP, RHP) per agent of x (P, d) from the iteration's block u (P, 8)."""
     draws = _draws(u, problem)
-    return x.ravel()[draws.hp[0]], draws.rhp[0]
+    return x.ravel()[draws.gather[0, :, 0]], draws.rhp[0]
 
 
 def _golden_ratios(x, u):
@@ -43,8 +43,8 @@ def _golden_ratios(x, u):
     M1, N1, M2, N2, gathered as a step gathers them."""
     block = np.zeros((len(x), N_UNIFORMS))
     block[:, U_GR] = u
-    xmn = x.ravel()[_draws(block, _problem(dim=x.shape[1])).mn[0]]
-    return golden_ratio(xmn[:, :2], xmn[:, 2:])
+    g = x.ravel()[_draws(block, _problem(dim=x.shape[1])).gather[0]]
+    return golden_ratio(g[:, 1::2], g[:, 2::2])
 
 
 def _gr(x, *u):
@@ -117,6 +117,32 @@ class TestHandPressure:
         # the top of [0, 1) stays on the last component
         u = np.full((1, N_UNIFORMS), np.nextafter(1.0, 0.0))
         assert _hand_pressures(x[:1], u, _problem(dim=3))[0][0] == 3.0
+
+
+def _gather_apart(u, d):
+    """The gather indices of choices(u) as once built: HP, the M's and the N's
+    each from their own indices() call, N shifted past M, then M, M', N, N'
+    joined; returned in choices' column order HP, M, N, M', N'."""
+    row = np.arange(u.shape[1]) * d
+    mn = u[..., U_GR]
+    m = core.indices(mn[..., 0::2], d)
+    n = core.indices(mn[..., 1::2], d - 1)
+    n += n >= m
+    hp = core.indices(u[..., U_HP], d) + row
+    mn = np.concatenate([m, n], axis=-1) + row[:, None]
+    return np.concatenate([hp[..., None], mn[..., [0, 2, 1, 3]]], axis=-1)
+
+
+@pytest.mark.parametrize("d", [2, 3, 10, 30])
+def test_gather_equals_the_indices_apart(d):
+    # one indices() call over the five columns gives the indices of five calls
+    rng = make_rng(d)
+    u = rng.random((7, 40, N_UNIFORMS))
+    u[0, :, U_HP:U_GR.stop] = np.nextafter(1.0, 0.0)  # the top of [0, 1): the last index
+    u[1, :, U_HP:U_GR.stop] = 0.0
+    gather = choices(u, 8, _problem(dim=d)).gather
+    assert gather.shape == (7, 40, 5)
+    assert np.array_equal(gather, _gather_apart(u, d))
 
 
 class TestGoldenRatio:

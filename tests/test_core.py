@@ -477,14 +477,14 @@ def test_run_counters_add_up(run, func):
 
 @pytest.mark.parametrize("run", [cddo_run, cddo_hs_run], ids=lambda f: f.__name__)
 def test_f19_agents_rest(run):
-    """Agents that stop moving (ROADMAP, "Reproduction loose ends: the stall mechanism"),
-    stated with the rest counter.
+    """Agents that stop moving (ROADMAP item 5, "Reproduction loose ends: the stall
+    mechanism"), stated with the rest counter.
 
-    On F19 (Hartmann-3 on [1, 3]^3) the skill move pushes agents to the upper
-    corner, where they rest for the rest of the run: CDDO and the hybrid rest
-    in 99.6% of agent steps (CDDO makes 124 evaluations in 500 iterations),
-    against 48% and 46% on F12. A fix for F19 changes these shares and must
-    update this test.
+    On F19 (Hartmann-3 on its own box [0, 1]^3, item 5's F19 box) the skill move
+    pushes agents to the upper corner, where they rest for the rest of the run:
+    CDDO rests in 99.1% and the hybrid in 99.2% of agent steps (CDDO makes 228
+    evaluations in 500 iterations), against 48% and 46% on F12. A fix for the
+    stall changes these shares and must update this test.
     """
     cfg = RunConfig(pop_size=40, max_iters=500, base_seed=2023)
     for func, low, high in (("F19", 0.99, 1.0), ("F12", 0.0, 0.6)):

@@ -9,13 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cddohs import harness
+from cddohs import harness, reference
 from cddohs.cli import build_parser, main
 from cddohs.core import RunConfig
 from cddohs.harness import (
     ALGORITHMS, ExperimentPlan, _cells, _fmt, _write, cell_seed, compare_to_reference,
     load_averages, load_summary, run_cell, run_experiment,
 )
+from cddohs.stats import rank_algorithms
 
 TINY = RunConfig(pop_size=8, max_iters=20, n_runs=3, base_seed=7)
 
@@ -334,6 +335,21 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("CDDO-HS")
 
+    def test_rank_reference_table2(self, capsys):
+        # placements (cddo-hs, cddo, hs) of the published means, worked out by hand;
+        # CDDO-HS and HS tie on F16, F17 and F19
+        by_hand = {(2, 1, 3): "F1 F2 F3 F4 F7", (1, 2, 3): "F5 F6 F9 F10 F11 F12 F13 F15",
+                   (3, 1, 2): "F8 F18", (3, 2, 1): "F14", (1.5, 3, 1.5): "F16 F17 F19"}
+        placements = {func: dict(zip(["cddo-hs", "cddo", "hs"], places))
+                      for places, funcs in by_hand.items() for func in funcs.split()}
+        assert len(placements) == 19
+        assert {a: sum(p[a] for p in placements.values()) for a in ALGORITHMS} == \
+            {"cddo-hs": 31.5, "cddo": 34, "hs": 48.5}
+        assert main(["rank", "--reference", "table2"]) == 0
+        # 31.5 / 19, 34 / 19 and 48.5 / 19
+        assert capsys.readouterr().out == "cddo-hs\t1.658\ncddo\t1.789\nhs\t2.553\n"
+        assert rank_algorithms(reference.AVERAGES["table2"]).placements == placements
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_run_and_compare_roundtrip(self, tmp_path, capsys, fmt):
         rc = main(["run", "--algo", "hs,cddo-hs", "--func", "F16", "--pop", "8",
@@ -474,7 +490,7 @@ class TestCli:
         for args in commands:
             build_parser().parse_args(args)
 
-    @pytest.mark.parametrize("reference", ["table6", "bogus"])
+    @pytest.mark.parametrize("reference", ["table2", "table6", "bogus"])
     def test_rank_takes_one_source(self, tmp_path, capsys, reference):
         path = tmp_path / "avgs.csv"
         path.write_text("func,a,b\nF1,1,2\n")
