@@ -1,14 +1,15 @@
 #!/bin/sh
-# Refactor check: print twelve digests that a change which should not alter
+# Refactor check: print thirteen digests that a change which should not alter
 # results must leave unchanged (see "Refactor check" in README.md), and compare
 # them with scripts/refactor_check.expected: on a mismatch the diff goes to
 # stderr and the exit status is 1.
 #
 #   sh scripts/refactor_check.sh
 #
-# Runs the three fixed-seed grids of the README in a temporary directory and
-# prints, one per line: the digest of each grid's artifacts (the third grid,
-# one algorithm, writes an empty p-value table), of the first two grids' printed
+# Runs the four fixed-seed grids of the README in a temporary directory and
+# prints, one per line: the digest of each grid's artifacts (the third and
+# fourth grids, one algorithm, write an empty p-value table; the fourth, 4,500
+# rows a table, spans several of the writer's chunks), of the first two grids' printed
 # path lists (with the output directory cut off), of `compare` on
 # summary.csv and then summary.json, of `rank --reference table6`, of `rank
 # --input` on the first grid's summary.csv and then summary.json (`rank run`),
@@ -57,11 +58,13 @@ raise SystemExit(not f.get("X86_V4"))'; }
 cddohs run --algo all --func all --runs 4 --iters 30 --seed 2023 --out "$tmp/X" >"$tmp/paths"
 cddohs run --algo all --func F6,F11,F16 --runs 10 --iters 30 --seed 2023 --out "$tmp/Y" >>"$tmp/paths"
 cddohs run --algo hs --func F1,F7 --runs 3 --iters 20 --seed 2023 --out "$tmp/Z" >/dev/null
+cddohs run --algo hs --func F16,F17 --runs 9 --iters 500 --seed 2023 --out "$tmp/W" >/dev/null
 
 {
 echo "artifacts X  $(cd "$tmp/X" && sha256sum * | digest)"
 echo "artifacts Y  $(cd "$tmp/Y" && sha256sum * | digest)"
 echo "artifacts Z  $(cd "$tmp/Z" && sha256sum * | digest)"
+echo "artifacts W  $(cd "$tmp/W" && sha256sum * | digest)"
 echo "paths        $(sed "s|^$tmp/||" "$tmp/paths" | digest)"
 echo "compare      $({ cddohs compare --summary "$tmp/X/summary.csv"
                        cddohs compare --summary "$tmp/X/summary.json"; } | digest)"

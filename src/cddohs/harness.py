@@ -98,28 +98,49 @@ def _cells(column) -> tuple:
                  for cells in (texts, map(encode_basestring_ascii, texts)))
 
 
+_CHUNK = 2048  # rows of text the writer holds at a time
+
+
+def _chunks(parts):
+    """The text of the rows that zip(*parts) spells, each row the join of its parts, in
+    pieces of ``_CHUNK`` rows."""
+    rows = zip(*parts)
+    while chunk := "".join(itertools.chain.from_iterable(itertools.islice(rows, _CHUNK))):
+        yield chunk
+
+
 def _write(out: Path, name: str, header: list[str], columns) -> list[Path]:
     """Write one table, its columns in header order as ``_cells`` pairs, atomically as
-    out/name.csv and then out/name.json; the two paths. The JSON is byte for byte json.dumps
-    of the rows as dicts (indent=2, sort_keys=True), one join of the keys' text, built once per
-    table, and the cells: json.dumps encodes in pure Python, token by token, when indented."""
-    text, values = zip(*columns) if columns else ((), ())
+    out/name.csv and then out/name.json; the two paths. Each file is streamed ``_CHUNK`` rows
+    at a time to a .tmp file, removed if the write fails, that then replaces it. The JSON is
+    byte for byte json.dumps of the rows as dicts (indent=2, sort_keys=True), each row the
+    keys' text, built once per table, and the cells: json.dumps encodes in pure Python,
+    token by token, when indented."""
+    tables = {"csv": [",".join(header) + "\n"], "json": ["[]\n"]}  # a table without rows
+    if columns:
+        text, values = zip(*columns)
+        repeat, chain = itertools.repeat, itertools.chain
+        # CSV row i: a[i] ',' b[i] ... '\n'
+        csv_parts = [*chain.from_iterable((repeat(","), cells) for cells in text)][1:]
+        # JSON row i: ',\n  {\n    "a": ' a[i] ',\n    "b": ' b[i] ... '\n  }'; the first
+        # row's comma is the list's '['
+        cols = sorted(zip(header, values), key=lambda col: col[0])
+        keys = [f"{sep}{encode_basestring_ascii(key)}: "
+                for sep, (key, _) in zip([",\n  {\n    ", *[",\n    "] * (len(cols) - 1)], cols)]
+        json_parts = [part for key, (_, cells) in zip(keys, cols) for part in (repeat(key), cells)]
+        json_parts[0] = chain([f"[{keys[0][1:]}"], json_parts[0])
+        tables = {"csv": chain(tables["csv"], _chunks([*csv_parts, repeat("\n")])),
+                  "json": chain(_chunks([*json_parts, repeat("\n  }")]), ["\n]\n"])}
     paths = []
-    for fmt in ("csv", "json"):
-        if fmt == "csv":
-            body = "\n".join([",".join(header), *map(",".join, zip(*text))]) + "\n"
-        elif not columns:
-            body = "[]\n"
-        else:  # row i: ',\n  {\n    "a": ' a[i] ',\n    "b": ' b[i] ... '\n  }'
-            cols = sorted(zip(header, values), key=lambda col: col[0])
-            seps = [",\n  {\n    ", *[",\n    "] * (len(cols) - 1)]
-            parts = [part for sep, (key, cells) in zip(seps, cols)
-                     for part in (itertools.repeat(f"{sep}{encode_basestring_ascii(key)}: "), cells)]
-            rows = "".join(itertools.chain.from_iterable(zip(*parts, itertools.repeat("\n  }"))))
-            body = f"[{rows[1:]}\n]\n"  # the first row's comma goes
+    for fmt, pieces in tables.items():
         paths.append(out / f"{name}.{fmt}")
         tmp = out / f"{name}.{fmt}.tmp"
-        tmp.write_text(body)
+        try:
+            with open(tmp, "w") as fh:
+                fh.writelines(pieces)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         os.replace(tmp, paths[-1])
     return paths
 
@@ -146,9 +167,12 @@ def run_experiment(plan: ExperimentPlan) -> dict:
 
     written = [_write(out, "summary", SUMMARY_HEADER, [*map(_cells, zip(*summary_rows))]),
                _write(out, "pvalues", PVALUES_HEADER, [*map(_cells, zip(*pvalue_rows))])]
-    # the run and iter columns: every cell holds n_runs traces of max_iters entries
-    runs, iters = range(plan.config.n_runs), range(plan.config.max_iters)
-    index = [_cells([r for r in runs for _ in iters]), _cells([*iters] * len(runs))]
+    # the run and iter columns: every cell holds n_runs traces of max_iters entries; each run
+    # and iter value is converted once, and every table repeats those str objects
+    n_runs, n_iters = plan.config.n_runs, plan.config.max_iters
+    runs, iters = _cells([*range(n_runs)]), _cells([*range(n_iters)])
+    index = [tuple([cell for cell in cells for _ in range(n_iters)] for cells in runs),
+             tuple(cells * n_runs for cells in iters)]
     for (algo, func), results in cells.items():  # one cell's columns at a time
         gbest = _cells(np.concatenate([res.trace for res in results]))
         written.append(_write(out, f"convergence_{algo}_{func}", CONVERGENCE_HEADER, [*index, gbest]))

@@ -1,8 +1,10 @@
 import csv
 import inspect
 import json
+import operator
 import re
 import shlex
+import tracemalloc
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -13,7 +15,7 @@ from cddohs import harness, reference
 from cddohs.cli import build_parser, main
 from cddohs.core import RunConfig
 from cddohs.harness import (
-    ALGORITHMS, ExperimentPlan, _cells, _fmt, _write, cell_seed, compare_to_reference,
+    _CHUNK, ALGORITHMS, ExperimentPlan, _cells, _fmt, _write, cell_seed, compare_to_reference,
     load_averages, load_summary, run_cell, run_experiment,
 )
 from cddohs.stats import rank_algorithms
@@ -203,14 +205,24 @@ def test_writer_matches_json_dumps(tmp_path, rows):
         assert (csv_text, json_text) == ("run,note,share%,iter,gbest\n", "[]\n")
 
 
+def _chunk_rows(n):
+    # n rows of an int, a str and a float column; the floats repeat in stretches of three
+    return [[i, f"note {i}", (i // 3) / 7] for i in range(n)]
+
+
 # one column, a key that JSON escapes (a quote and a non-ASCII character), a str
-# column whose cells repeat, and a float column whose values repeat
+# column whose cells repeat, a float column whose values repeat, and tables that fill
+# one chunk, spill one row into a second, and fill two and spill one into a third
 @pytest.mark.parametrize("header, rows", [
     (["gbest"], [["1.000000e+00"], ["5.000000e-01"]]),
     (['say "hi"', "naïve ∑", "iter"], [[1, "a", 0], [2, "b", 1]]),
     (["run", "gbest"], [[0, "2.000000e+00"], [0, "2.000000e+00"], [1, "2.000000e+00"]]),
     (["run", "gbest"], [[0, 2.0], [0, 2.0], [1, 0.0], [1, -0.0], [2, 2.0]]),
-], ids=["one-column", "escaped-key", "repeated-cells", "float-column"])
+    (["run", "note", "gbest"], _chunk_rows(_CHUNK)),
+    (["run", "note", "gbest"], _chunk_rows(_CHUNK + 1)),
+    (["run", "note", "gbest"], _chunk_rows(2 * _CHUNK + 1)),
+], ids=["one-column", "escaped-key", "repeated-cells", "float-column", "one-chunk",
+        "chunk-plus-one", "two-chunks-plus-one"])
 def test_writer_tables_match_json_dumps(tmp_path, header, rows):
     paths = _write(tmp_path, "t", header, [*map(_cells, zip(*rows))])
     shown = _as_text(rows)
@@ -236,24 +248,71 @@ def test_trace_formatter_formats_every_value(trace):
         assert _cells(column) == (text, list(map(encode_basestring_ascii, text)))
 
 
+def test_writer_streams_a_table_in_chunks(tmp_path):
+    # a 30 x 500 convergence table, as run_experiment writes one: the writer holds
+    # _CHUNK rows of text at a time, never the whole file's
+    runs, iters = range(30), range(500)
+    trace = np.minimum.accumulate(np.random.default_rng(1).random(len(runs) * len(iters)))
+    columns = [_cells([r for r in runs for _ in iters]), _cells([*iters] * len(runs)),
+               _cells(trace)]
+    tracemalloc.start()
+    try:
+        paths = _write(tmp_path, "t", harness.CONVERGENCE_HEADER, columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < paths[1].stat().st_size
+
+
+def test_failed_write_leaves_no_tmp_file(tmp_path):
+    _write(tmp_path, "t", ["run"], [_cells([1, 2])])
+    earlier = (tmp_path / "t.csv").read_text()
+
+    def cells():  # a column whose second chunk raises
+        yield from map(str, range(_CHUNK + 1))
+        raise OSError("no space left on device")
+
+    with pytest.raises(OSError, match="no space"):
+        _write(tmp_path, "t", ["run"], [(cells(), [])])
+    assert not [*tmp_path.glob("*.tmp")]
+    assert (tmp_path / "t.csv").read_text() == earlier == "run\n1\n2\n"
+
+
 def test_grid_converts_each_column_once(tmp_path, monkeypatch):
-    calls = []
+    calls, converted, written = [], [], {}
 
     def recording(column):
         calls.append(column)
-        return _cells(column)
+        converted.append(_cells(column))
+        return converted[-1]
+
+    def writing(out, name, header, columns):
+        written[name] = columns
+        return _write(out, name, header, columns)
 
     monkeypatch.setattr(harness, "_cells", recording)
+    monkeypatch.setattr(harness, "_write", writing)
     run_experiment(ExperimentPlan(algorithms=["cddo", "hs"], functions=["F1", "F16"],
                                   config=TINY, output_dir=tmp_path))
-    # each summary and p-value column once, the run and iter columns once per grid, and
+    # each summary and p-value column once, each run and iter value once per grid, and
     # then each of the 4 cells' gbest
     runs, iters = range(TINY.n_runs), range(TINY.max_iters)
     tables = len(harness.SUMMARY_HEADER) + len(harness.PVALUES_HEADER)
     assert len(calls) == tables + 2 + 4
-    assert calls[tables:tables + 2] == [[r for r in runs for _ in iters], [*iters] * len(runs)]
+    assert calls[tables:tables + 2] == [[*runs], [*iters]]
     assert all(len(c) == len(runs) * len(iters) and isinstance(c[0], float)
                for c in calls[tables + 2:])
+    # every convergence table's run and iter cells, CSV and JSON, are those same str objects
+    run_cells, iter_cells = converted[tables:tables + 2]
+    index = [[[cells[r] for r in runs for _ in iters] for cells in run_cells],
+             [[cells[i] for _ in runs for i in iters] for cells in iter_cells]]
+    convergence = [name for name in written if name.startswith("convergence_")]
+    assert len(convergence) == 4
+    for name in convergence:
+        for column, expected in zip(written[name][:2], index):
+            for cells, expected_cells in zip(column, expected, strict=True):
+                assert len(cells) == len(expected_cells)
+                assert all(map(operator.is_, cells, expected_cells))
 
 
 class TestCompare:
