@@ -1,5 +1,5 @@
 #!/bin/sh
-# Refactor check: print thirteen digests that a change which should not alter
+# Refactor check: print fourteen digests that a change which should not alter
 # results must leave unchanged (see "Refactor check" in README.md), and compare
 # them with scripts/refactor_check.expected: on a mismatch the diff goes to
 # stderr and the exit status is 1.
@@ -21,6 +21,11 @@
 # and of run 0 of each algorithm on every function but F7 at 207 iterations,
 # two of CDDO's blocks of draws (cddo.BLOCK) and 7 more (`long`). F7 is left
 # out there: its noise follows each block's uniforms, so it moves with BLOCK.
+# `wide` digests the same fields of runs 0-1 of hs and cddo-hs at population
+# 70 and 60 iterations on F1, F5, F7 and F16: HS's memory (70 rows) and the
+# hybrid's pattern memory (56) are wider than one 64-bit word. Those four
+# functions take no transcendental array kernel, so `wide` holds under every
+# SIMD dispatch.
 # The last two lines (`trace runs`, `trace long`) digest the bytes of `trace`
 # and `best_position` of the same runs. Their last bits follow numpy's SIMD
 # dispatch, and the expected digests were made with its AVX-512 kernels
@@ -86,6 +91,13 @@ for algo, run in ALGORITHMS.items():
         if func != "F7":
             show(algo, func, run(make_function(func), config, 0))
 ' "$tmp/long.bytes")"
+echo "wide         $(results '
+config = RunConfig(pop_size=70, max_iters=60, base_seed=2023)
+for algo in ("hs", "cddo-hs"):
+    for func in ("F1", "F5", "F7", "F16"):
+        for r in range(2):
+            show(algo, func, r, ALGORITHMS[algo](make_function(func), config, r))
+' "$tmp/wide.bytes")"
 echo "trace runs   $(digest <"$tmp/runs.bytes")"
 echo "trace long   $(digest <"$tmp/long.bytes")"
 } >"$tmp/lines"

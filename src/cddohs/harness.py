@@ -180,9 +180,13 @@ def run_experiment(plan: ExperimentPlan) -> dict:
 
 
 def _rows(path, *columns: str) -> list[dict]:
-    """The rows of a CSV or JSON table (by suffix) as dicts that hold all of ``columns``."""
-    with open(path, newline="") as fh:
-        rows = json.load(fh) if Path(path).suffix == ".json" else list(csv.DictReader(fh))
+    """The rows of a CSV or JSON table (by suffix), UTF-8 with or without a BOM, as dicts
+    that hold all of ``columns`` and whose 'algo' and 'func' cells are non-empty strings."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            rows = json.load(fh) if Path(path).suffix == ".json" else list(csv.DictReader(fh))
+    except (json.JSONDecodeError, UnicodeDecodeError, csv.Error) as e:
+        raise ValueError(f"{path}: {e}") from None
     if not rows:  # a header-only CSV, [] or {}: nothing to read
         raise ValueError(f"{path}: no rows")
     if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
@@ -196,6 +200,9 @@ def _rows(path, *columns: str) -> list[dict]:
         missing = [c for c in columns if c not in row]
         if missing:
             raise ValueError(f"{path}: no {missing[0]!r} column")
+        for c in ("algo", "func"):  # the ids a table is keyed on
+            if c in row and not (isinstance(row[c], str) and row[c]):
+                raise ValueError(f"{path}: row {n}: {c!r}: not a non-empty string: {row[c]!r}")
     return rows
 
 
@@ -233,10 +240,12 @@ def load_averages(path) -> dict:
         for (algo, func), avg in load_summary(path).items():
             averages.setdefault(func, {})[algo] = avg
     else:
-        for row in rows:
+        for n, row in enumerate(rows, 1):
             func = row.pop("func")
             if func in averages:
                 raise ValueError(f"{path}: {func}: repeated row")
+            if "" in row:
+                raise ValueError(f"{path}: row {n}: an algorithm column has no name")
             averages[func] = {algo: _number(path, f"{func}/{algo}", v) for algo, v in row.items()}
     algos = dict.fromkeys(itertools.chain.from_iterable(averages.values()))  # in table order
     if not algos:

@@ -2,10 +2,10 @@
 
 A run improvises AHEAD iterations at once from the memory as it stands and
 evaluates them in one objective call, then walks them in order through the
-worst-replacement. The walk stops before the first improvisation that copies a
-component from a row replaced earlier in the walk, since that one was built
-from the old row; the next walk improvises from there. So every kept
-improvisation, fitness and acceptance is that of the one-at-a-time loop.
+worst-replacement. The walk keeps the set of memory rows it has replaced and
+stops before the first improvisation that copies a component from one of them,
+since that one was built from the old row; the next walk improvises from there.
+So every kept improvisation, fitness and acceptance is the one-at-a-time loop's.
 """
 
 from __future__ import annotations
@@ -68,19 +68,6 @@ def choices(u: np.ndarray, m: int, problem: Problem) -> Draws:
                  redraws=fresh.any(1).tolist())
 
 
-def copies(draws: Draws, m: int, d: int) -> list[int]:
-    """Per improvisation of ``draws``, the memory rows (of m) it copies a
-    component from, as the bits of an int: bit r for row r."""
-    n = len(draws.source)
-    bits = np.zeros((n, -(-m // 64) * 64), bool)
-    bits[np.arange(n)[:, None], draws.source // d] = True
-    words = np.packbits(bits, axis=1, bitorder="little").view("<u8")
-    masks = words[:, 0].tolist()
-    for i in range(1, words.shape[1]):  # memories of more than 64 rows
-        masks = [low | high << 64 * i for low, high in zip(masks, words[:, i].tolist())]
-    return masks
-
-
 def improvise(positions: np.ndarray, draws: Draws, t: int | slice, problem: Problem) -> np.ndarray:
     """Improvisation t of ``draws`` over the memory rows ``positions`` (m, d),
     as a vector (d,); for a slice t, those improvisations as rows (k, d).
@@ -108,10 +95,11 @@ def iterate(memory: Archive, problem: Problem, draws: Draws, t: int,
 def hs_run(problem: Problem, config: RunConfig, run_index: int = 0) -> RunResult:
     """One full HS run; run r uses seed base_seed + r; evals == pop_size + max_iters.
 
-    Rows evaluated past a cut are not counted. A stochastic problem draws one
-    noise value per row, in row order, so those rows give their draws back
-    (:func:`core.give_back`) and the generator draws what the one-at-a-time
-    loop draws. NaN raises only in a kept row.
+    A walk is cut before improvisation t when one of ``rows[t]``, the memory
+    rows it copies, is in ``replaced``. Rows evaluated past a cut are not
+    counted: a stochastic problem draws one noise value per row, in row order,
+    so they give their draws back (:func:`core.give_back`) and the generator
+    draws what the one-at-a-time loop draws. NaN raises only in a kept row.
     """
     seed = config.seed_for_run(run_index)
     rng = make_rng(seed)
@@ -123,20 +111,20 @@ def hs_run(problem: Problem, config: RunConfig, run_index: int = 0) -> RunResult
     for start in range(0, config.max_iters, BLOCK):
         n = min(BLOCK, config.max_iters - start)
         draws = draw(rng, n, config.pop_size, problem)
-        copied = copies(draws, config.pop_size, problem.dim)
+        rows = (draws.source // problem.dim).tolist()  # the memory rows each one copies
         t = 0
         while t < n:
             walk = t
             ahead = improvise(hm.x, draws, slice(walk, walk + AHEAD), problem)
             fitness = core.evaluate_rows(problem, ahead, rng).tolist()
-            replaced = 0  # the rows replaced in this walk, as bits
+            replaced = set()  # the memory rows replaced in this walk
             for position, f in zip(ahead, fitness):
-                if copied[t] & replaced:
+                if replaced and not replaced.isdisjoint(rows[t]):
                     break
                 if math.isnan(f):
                     raise core.nan_error(problem)
                 if hm.replace_worst(position, f):
-                    replaced |= 1 << hm.replaced
+                    replaced.add(hm.replaced)
                     accepts += 1
                     best_f = min(best_f, f)
                 trace[start + t] = best_f

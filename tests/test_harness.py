@@ -440,6 +440,20 @@ class TestCli:
         assert load_averages(wide) == load_averages(long) == {
             "F1": {"a": 1.0, "b": 2.0}, "F2": {"a": 4.0, "b": 3.0}}
 
+    @pytest.mark.parametrize("name,text", [("avgs.csv", "func,a,b\nF1,1,2\nF2,4,3\n"),
+                                           ("avgs.json", '[{"func": "F1", "a": 1, "b": 2}]')],
+                             ids=["csv", "json"])
+    def test_rank_reads_a_table_with_a_bom(self, tmp_path, capsys, name, text):
+        # a spreadsheet's UTF-8 export starts with a byte order mark
+        plain, bom = tmp_path / name, tmp_path / f"bom{Path(name).suffix}"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text(text, encoding="utf-8-sig")
+        printed = []
+        for path in (plain, bom):
+            assert main(["rank", "--input", str(path)]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1] != ""
+
     @pytest.mark.parametrize("name, text, missing", [
         ("summary.csv", "algo,func,avg\nhs,F1,1\ncddo,F1,2\nhs,F2,3\n", "F2: no 'cddo' average"),
         ("avgs.json", '[{"func": "F1", "a": 1, "b": 2}, {"func": "F2", "a": 3}]',
@@ -522,10 +536,18 @@ class TestCli:
         pytest.param("rank", "avgs.json", '[{"func": [1], "a": 1, "b": 2}]', id="json-list-id"),
         pytest.param("compare", "summary.json", '[{"algo": {}, "func": "F1", "avg": 1}]',
                      id="json-object-id"),
+        pytest.param("rank", "avgs.json", '[{"func": "F1", "a": 1', id="truncated-json"),
+        pytest.param("rank", "avgs.csv", "func,a,b\nF1,1,2\n".encode("utf-16"), id="not-utf8"),
+        pytest.param("rank", "avgs.csv", "func,a\nF1," + "1" * 200_000 + "\n", id="huge-cell"),
+        pytest.param("rank", "avgs.csv", "func,a,\nF1,1,2\n", id="empty-algorithm-column"),
+        pytest.param("rank", "avgs.csv", "func,a,b\nF1,1,2\n,3,4\n", id="empty-func"),
+        pytest.param("rank", "avgs.json", '[{"func": 1, "a": 2}]', id="json-number-func"),
+        pytest.param("compare", "summary.csv", "algo,func,avg\n,F1,1\n", id="empty-algo"),
+        pytest.param("rank", "summary.csv", "algo,func,avg\n,F1,1\n", id="rank-empty-algo"),
     ])
     def test_malformed_table_names_the_file(self, tmp_path, capsys, command, name, text):
         path = tmp_path / name
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         flag = "--summary" if command == "compare" else "--input"
         assert main([command, flag, str(path)]) == 1
         captured = capsys.readouterr()

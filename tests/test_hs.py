@@ -4,7 +4,7 @@ import pytest
 from cddohs.benchmarks import make_function
 from cddohs.core import Problem, RunConfig, clamp, init_population, make_rng
 from cddohs import core, hs
-from cddohs.hs import HarmonyMemory, choices, copies, draw, hs_run, improvise, iterate
+from cddohs.hs import HarmonyMemory, choices, draw, hs_run, improvise, iterate
 
 
 def _problem(dim=4, lower=-1.0, upper=1.0):
@@ -153,25 +153,20 @@ class TestHsRun:
         assert (hs.HMCR, hs.PAR, hs.BW) == (0.995, 0.1, 0.04)
 
 
-@pytest.mark.parametrize("m", [1, 40, 64, 65, 130])
-def test_copies_names_the_rows_each_improvisation_copies(m):
-    p = _problem(dim=3)
-    draws = draw(make_rng(m), 200, m, p)
-    want = [sum(1 << r for r in set((source // p.dim).tolist())) for source in draws.source]
-    assert copies(draws, m, p.dim) == want
-
-
-@pytest.mark.parametrize("func", ["F1", "F7", "F9", "F13", "F14", "F16"])
-def test_blocks_change_nothing(func, monkeypatch):
+@pytest.mark.parametrize("func,pop_size", [
+    pytest.param(func, m, id=func if m == 10 else f"{func}-m{m}")
+    for m in (10, 70) for func in ("F1", "F7", "F9", "F13", "F14", "F16")])
+def test_blocks_change_nothing(func, pop_size, monkeypatch):
     # A run draws BLOCK iterations at a time and improvises AHEAD of them at
     # once. A reference loop that improvises, evaluates and keeps one vector at
     # a time, and reads the memory's best each iteration, reaches the same run
     # bit for bit across two block boundaries and a last block of 107
     # iterations, which ends in a part of a look-ahead. It draws one
     # improvisation at a time, except for F7: F7's noise follows each block's
-    # uniforms, so its reference draws whole blocks.
+    # uniforms, so its reference draws whole blocks. A memory of 70 rows checks
+    # the walk's cut on rows past the first 64.
     p = make_function(func)
-    cfg = RunConfig(pop_size=10, max_iters=2 * hs.BLOCK + 107, base_seed=11)
+    cfg = RunConfig(pop_size=pop_size, max_iters=2 * hs.BLOCK + 107, base_seed=11)
     assert (cfg.max_iters - 2 * hs.BLOCK) % hs.AHEAD
     rng = make_rng(cfg.seed_for_run(0))
     hm = HarmonyMemory(*init_population(p, cfg.pop_size, rng))
