@@ -118,11 +118,11 @@ def f11_griewank(x):
     return np.add.reduce(x * x, -1) / 4000.0 - np.multiply.reduce(np.cos(x / np.sqrt(i)), -1) + 1.0
 
 
-def _penalty(x, a, k, m):
-    # k max(|x| - a, 0)^m: +0.0 inside [-a, a], and pow never sees a negative base
+def _penalty(x, a):
+    # 100 max(|x| - a, 0)^4: +0.0 inside [-a, a], and pow never sees a negative base
     p = np.abs(x) - a
     np.maximum(p, 0.0, out=p)
-    return np.add.reduce(k * np.power(p, m), -1)
+    return np.add.reduce(100.0 * np.power(p, 4.0), -1)
 
 
 def _components(x):
@@ -147,7 +147,7 @@ def f12_penalized1(x):
     s, q = _sin2_and_square(y, np.pi)
     first, last = s[..., 0][()], q[..., -1][()]  # numpy scalars at one point
     core = 10.0 * first + np.add.reduce(q[..., :-1] * (1.0 + 10.0 * s[..., 1:]), -1) + last
-    return np.pi / n * core + _penalty(x, 10.0, 100.0, 4.0)
+    return np.pi / n * core + _penalty(x, 10.0)
 
 
 def f13_penalized2(x):
@@ -155,7 +155,7 @@ def f13_penalized2(x):
     first, last = s[..., 0][()], q[..., -1][()]  # numpy scalars at one point
     w = np.sin(2.0 * np.pi * x[..., -1][()])
     core = first + np.add.reduce(q[..., :-1] * (1.0 + s[..., 1:]), -1) + last * (1.0 + w * w)
-    return 0.1 * core + _penalty(x, 5.0, 100.0, 4.0)
+    return 0.1 * core + _penalty(x, 5.0)
 
 
 def f14_foxholes(x):

@@ -8,7 +8,8 @@ elite) when its golden ratio is near phi, or stays put. An elite archive
 
 A run draws a (P, 8) block of uniforms per iteration (after the hybrid refresh's),
 BLOCK iterations in one call, and takes every agent's choices from them once per
-block. One iteration reads HP and the golden ratios' components in one gather;
+block. One iteration reads HP and the golden ratios' components in one gather,
+and its movers' coefficients (SR, LR and the creativity branch's SR) in another;
 each mover's candidate is clamp(A + B (gbest - X)), (A, B, X) = (gr x + sr (lbest
 - x), lr, x) in the skill branch and (entry, sr, 0) in the creativity branch, and
 one objective call evaluates them. The result is that of the original
@@ -66,12 +67,10 @@ class Draws(NamedTuple):
     """The choices of n iterations, each (n, P, ...): row t is iteration t.
     Indices into the positions are flat, into x.ravel() of x (P, d)."""
 
-    rhp: np.ndarray          # RHP, uniform in the box
-    gather: np.ndarray       # (n, P, 5): HP, then M, N, M', N' of two golden-ratio draws
-    sr_skill: np.ndarray     # (n, P, 1), as lr and sr_creative
-    lr: np.ndarray
-    sr_creative: np.ndarray
-    pick: np.ndarray         # the pattern-memory row of the creativity branch
+    gather: np.ndarray  # (n, P, 5): HP, then M, N, M', N' of two golden-ratio draws
+    coef: np.ndarray    # (n, P, 4): RHP, uniform in the box, the skill branch's SR and
+                        # LR, and the creativity branch's SR
+    pick: np.ndarray    # the pattern-memory row of the creativity branch
 
 
 def choices(u: np.ndarray, pm_size: int, problem: Problem) -> Draws:
@@ -82,11 +81,9 @@ def choices(u: np.ndarray, pm_size: int, problem: Problem) -> Draws:
     gather = indices(u[..., U_HP:U_GR.stop], np.array([d, d, d - 1, d, d - 1]))
     gather[..., 2::2] += gather[..., 2::2] >= gather[..., 1::2]  # each N past its M
     gather += np.arange(0, u.shape[1] * d, d)[:, None]  # each agent's row start in x.ravel()
-    return Draws(rhp=scale(u[..., U_RHP], problem.lower, problem.upper), gather=gather,
-                 sr_skill=scale(u[..., U_SR, None], *SR_LR_HIGH),
-                 lr=scale(u[..., U_LR_PM, None], *SR_LR_HIGH),
-                 sr_creative=scale(u[..., U_SR, None], *SR_LR_LOW),
-                 pick=indices(u[..., U_LR_PM], pm_size))
+    lo, hi = zip((problem.lower, problem.upper), SR_LR_HIGH, SR_LR_HIGH, SR_LR_LOW)
+    coef = scale(u[..., [U_RHP, U_SR, U_LR_PM, U_SR]], np.array(lo), np.array(hi))
+    return Draws(gather=gather, coef=coef, pick=indices(u[..., U_LR_PM], pm_size))
 
 
 def golden_ratio(xm: np.ndarray, xn: np.ndarray) -> np.ndarray:
@@ -131,9 +128,8 @@ def creativity_update(pm_entry: np.ndarray, sr):
 
 def init_state(problem: Problem, config: RunConfig, pm_size: int, rng) -> CddoState:
     x, f = core.init_population(problem, config.pop_size, rng)
-    g = int(np.argmin(f))
-    pm = Archive.best_of(x, f, pm_size)
-    return CddoState(x, x.copy(), f.copy(), x[g].copy(), float(f[g]), pm, evals=config.pop_size)
+    pm = Archive.best_of(x, f, pm_size)  # row 0 is the first minimum, np.argmin's row
+    return CddoState(x, x.copy(), f.copy(), pm.x[0].copy(), float(pm.f[0]), pm, evals=config.pop_size)
 
 
 def cddo_step(state: CddoState, problem: Problem, draws: Draws, t: int, rng) -> None:
@@ -154,17 +150,18 @@ def cddo_step(state: CddoState, problem: Problem, draws: Draws, t: int, rng) -> 
     x, lbest_x = state.x, state.lbest_x
     flat = x.ravel()
     g = flat.take(draws.gather[t])  # HP, M, N, M', N' per agent
-    skill = g[:, 0] < draws.rhp[t]
+    coef = draws.coef[t]  # RHP, SR, LR, creative SR per agent
+    skill = g[:, 0] < coef[:, 0]  # HP < RHP
     gr = golden_ratio(g[:, 1::2], g[:, 2::2])
     movers = (skill | (np.abs(gr - PHI) <= GR_TOLERANCE)).nonzero()[0]
     n_skill = int(np.count_nonzero(skill))
     # the skill branch's (A, B, X) at every mover, from rows gathered once; take()
     # is the gather without fancy indexing's cost per call
+    coef = coef.take(movers, 0)  # the movers' rows
     a, b, z = skill_update(x.take(movers, 0), lbest_x.take(movers, 0), gr.take(movers)[:, None],
-                           draws.sr_skill[t].take(movers, 0), draws.lr[t].take(movers, 0))
+                           coef[:, 1:2], coef[:, 2:3])
     if n_skill < len(movers):  # a creative mover: its rows take the creativity branch's
-        creative_move = creativity_update(state.pm.x.take(draws.pick[t].take(movers), 0),
-                                          draws.sr_creative[t].take(movers, 0))
+        creative_move = creativity_update(state.pm.x.take(draws.pick[t].take(movers), 0), coef[:, 3:])
         creative = ~skill.take(movers)[:, None]
         a, b, z = (np.where(creative, c, s) for s, c in zip((a, b, z), creative_move))
     if len(movers):

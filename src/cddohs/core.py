@@ -126,9 +126,13 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def scale(u, lo: float, hi: float):
-    """Uniforms u in [0, 1) mapped onto [lo, hi)."""
-    return lo + (hi - lo) * u
+def scale(u, lo, hi):
+    """Uniforms u in [0, 1) mapped onto [lo, hi), lo + (hi - lo) u; lo and hi are
+    floats or arrays that broadcast against u. The sum is taken in place, so a
+    block of uniforms costs one new array, not two."""
+    w = (hi - lo) * u
+    w += lo
+    return w
 
 
 def indices(u: np.ndarray, n: int | np.ndarray) -> np.ndarray:

@@ -199,7 +199,7 @@ class TestProperties:
     @settings(max_examples=200, deadline=None)
     def test_penalty_zero_iff_inside(self, xs, a):
         # one row per value: the penalty of each row is its own
-        val = benchmarks._penalty(np.array(xs)[:, None], a, 100.0, 4.0)
+        val = benchmarks._penalty(np.array(xs)[:, None], a)
         assert val.shape == (len(xs),)
         for x, v in zip(xs, val):
             assert (v == 0.0) if abs(x) <= a else (v > 0.0)
@@ -220,7 +220,7 @@ def test_penalty_equals_the_where_form(a, data):
     shape = data.draw(st.sampled_from([(10,), (30,), (7, 10), (20, 30)]), label="shape")
     x = data.draw(hnp.arrays(np.float64, shape, elements=st.one_of(
         st.sampled_from(edges), st.floats(-50.0, 50.0))), label="x")
-    assert _bits(benchmarks._penalty(x, a, 100.0, 4.0)).tobytes() == \
+    assert _bits(benchmarks._penalty(x, a)).tobytes() == \
         _bits(_penalty_where(x, a, 100.0, 4.0)).tobytes()
 
 
@@ -240,7 +240,7 @@ def _f12_sines_apart(x):
         + np.add.reduce((y[..., :-1] - 1.0) ** 2 * (1.0 + 10.0 * np.sin(np.pi * y[..., 1:]) ** 2), -1)
         + z * z
     )
-    return np.pi / n * core + benchmarks._penalty(x, 10.0, 100.0, 4.0)
+    return np.pi / n * core + benchmarks._penalty(x, 10.0)
 
 
 def _f13_sines_apart(x):
@@ -251,7 +251,7 @@ def _f13_sines_apart(x):
         + np.add.reduce((x[..., :-1] - 1.0) ** 2 * (1.0 + np.sin(3.0 * np.pi * x[..., 1:]) ** 2), -1)
         + z * z * (1.0 + w * w)
     )
-    return 0.1 * core + benchmarks._penalty(x, 5.0, 100.0, 4.0)
+    return 0.1 * core + benchmarks._penalty(x, 5.0)
 
 
 # (objective, its form with the sines apart, the penalty's a, the optimum's component)
@@ -409,7 +409,7 @@ for fid, (objective, apart, a, _) in PENALIZED.items():
             new, old = objective(xs), apart(xs)
         if np.asarray(new).tobytes() != np.asarray(old).tobytes():
             raise SystemExit(fid + " " + layout + " differs")
-    if _penalty(x, a, 100.0, 4.0).tobytes() != _penalty_where(x, a, 100.0, 4.0).tobytes():
+    if _penalty(x, a).tobytes() != _penalty_where(x, a, 100.0, 4.0).tobytes():
         raise SystemExit(fid + " penalty differs from its where form")
 """
 

@@ -35,7 +35,7 @@ def _draws(u, problem, pm_size=1):
 def _hand_pressures(x, u, problem):
     """(HP, RHP) per agent of x (P, d) from the iteration's block u (P, 8)."""
     draws = _draws(u, problem)
-    return x.ravel()[draws.gather[0, :, 0]], draws.rhp[0]
+    return x.ravel()[draws.gather[0, :, 0]], draws.coef[0, :, 0]
 
 
 def _golden_ratios(x, u):
