@@ -1,5 +1,5 @@
 #!/bin/sh
-# Refactor check: print fourteen digests that a change which should not alter
+# Refactor check: print fifteen digests that a change which should not alter
 # results must leave unchanged (see "Refactor check" in README.md), and compare
 # them with scripts/refactor_check.expected: on a mismatch the diff goes to
 # stderr and the exit status is 1.
@@ -26,10 +26,14 @@
 # hybrid's pattern memory (56) are wider than one 64-bit word. Those four
 # functions take no transcendental array kernel, so `wide` holds under every
 # SIMD dispatch.
-# The last two lines (`trace runs`, `trace long`) digest the bytes of `trace`
-# and `best_position` of the same runs. Their last bits follow numpy's SIMD
-# dispatch, and the expected digests were made with its AVX-512 kernels
-# (X86_V4), so those two lines are compared only where numpy runs them.
+# `trace runs` and `trace long` digest the bytes of `trace` and
+# `best_position` of the same runs. `trace points` digests the lines
+# `func repr(evaluate_at(func, x, rng))` of F1-F19 at 50 points each, drawn
+# by `core.scale` from a fresh make_rng(2023) per function (F7 draws its noise
+# from it after the points): the one-point path of `core.evaluate`, which
+# otherwise only the hybrid's refreshes reach. The last bits of these three
+# lines follow numpy's SIMD dispatch, and the expected digests were made with
+# its AVX-512 kernels (X86_V4), so they are compared only where numpy runs them.
 set -eu
 # file globs sort by the locale's collation under some shells (bash); pin it
 export LC_ALL=C
@@ -100,6 +104,14 @@ for algo in ("hs", "cddo-hs"):
 ' "$tmp/wide.bytes")"
 echo "trace runs   $(digest <"$tmp/runs.bytes")"
 echo "trace long   $(digest <"$tmp/long.bytes")"
+echo "trace points $(PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 -c '
+from cddohs.benchmarks import FUNCTION_IDS, evaluate_at, make_function
+from cddohs.core import make_rng, scale
+for func in FUNCTION_IDS:
+    p, rng = make_function(func), make_rng(2023)
+    for x in scale(rng.random((50, p.dim)), p.lower, p.upper):
+        print(func, repr(evaluate_at(func, x, rng)))
+' | digest)"
 } >"$tmp/lines"
 
 cat "$tmp/lines"

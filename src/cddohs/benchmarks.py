@@ -49,15 +49,12 @@ _HARTMANN3_P = np.array(
 # -- objective functions ------------------------------------------------------
 #
 # Each objective meets the contract of core.Problem: x (..., d) to values (...),
-# each point's value bit for bit the same in every layout. Powers of
-# a single component are written as products: a one-point call sees numpy
-# scalars, whose ``**`` is libm's pow, while rows see arrays, whose ``**``
-# can round differently in the last bit; a product rounds the same both ways.
-# F7's fourth and F14's sixth powers of arrays are products too: on an AVX-512
-# host, numpy's array pow of a negative base takes a slow path (about 30 times
-# the time per value of a positive base) that rounds some values differently
-# from the kernel of a positive base and from another CPU dispatch's kernels,
-# while a product rounds the same for -x as for x under every dispatch.
+# each point's value bit for bit the same in every layout. F7's fourth and F14's
+# sixth powers are products: on an AVX-512 host, numpy's pow of a negative base
+# takes a slow path (about 30 times the time per value of a positive base) that
+# rounds some values differently from the kernel of a positive base and from
+# another CPU dispatch's kernels, while a product rounds the same for -x as for
+# x under every dispatch.
 # _penalty (F12, F13) raises only bases >= 0 and keeps numpy's pow.
 # Reductions are the ufunc's own reduce/accumulate (np.add.reduce for np.sum,
 # and so on): bit for bit numpy's functions, without their Python dispatch.
@@ -125,12 +122,6 @@ def _penalty(x, a):
     return np.add.reduce(100.0 * np.power(p, 4.0), -1)
 
 
-def _components(x):
-    """Components 0 and 1 of each point of x (..., d), shaped as its points: numpy
-    scalars for one point, where ``x[..., 0]`` alone is a 0-d array (see core.Problem)."""
-    return x[..., 0][()], x[..., 1][()]
-
-
 def _sin2_and_square(v, c):
     """sin(c v)² and (v - 1)² of every component of v (..., d), each from one
     ufunc call and squared in place."""
@@ -145,16 +136,14 @@ def f12_penalized1(x):
     n = x.shape[-1]
     y = 1.0 + (x + 1.0) / 4.0
     s, q = _sin2_and_square(y, np.pi)
-    first, last = s[..., 0][()], q[..., -1][()]  # numpy scalars at one point
-    core = 10.0 * first + np.add.reduce(q[..., :-1] * (1.0 + 10.0 * s[..., 1:]), -1) + last
+    core = 10.0 * s[..., 0] + np.add.reduce(q[..., :-1] * (1.0 + 10.0 * s[..., 1:]), -1) + q[..., -1]
     return np.pi / n * core + _penalty(x, 10.0)
 
 
 def f13_penalized2(x):
     s, q = _sin2_and_square(x, 3.0 * np.pi)
-    first, last = s[..., 0][()], q[..., -1][()]  # numpy scalars at one point
-    w = np.sin(2.0 * np.pi * x[..., -1][()])
-    core = first + np.add.reduce(q[..., :-1] * (1.0 + s[..., 1:]), -1) + last * (1.0 + w * w)
+    w = np.sin(2.0 * np.pi * x[..., -1])
+    core = s[..., 0] + np.add.reduce(q[..., :-1] * (1.0 + s[..., 1:]), -1) + q[..., -1] * (1.0 + w * w)
     return 0.1 * core + _penalty(x, 5.0)
 
 
@@ -176,13 +165,13 @@ def f15_kowalik(x):
 
 
 def f16_six_hump_camel(x):
-    x1, x2 = _components(x)
+    x1, x2 = x[..., 0], x[..., 1]
     s1, s2 = x1 * x1, x2 * x2
     return 4.0 * s1 - 2.1 * (s1 * s1) + s1 * s1 * s1 / 3.0 + x1 * x2 - 4.0 * s2 + 4.0 * (s2 * s2)
 
 
 def f17_branin(x):
-    x1, x2 = _components(x)
+    x1, x2 = x[..., 0], x[..., 1]
     b = 5.1 / (4.0 * np.pi ** 2)
     c = 5.0 / np.pi
     t = 1.0 / (8.0 * np.pi)
@@ -191,7 +180,7 @@ def f17_branin(x):
 
 
 def f18_goldstein_price(x):
-    x1, x2 = _components(x)
+    x1, x2 = x[..., 0], x[..., 1]
     s1, s2, p, q = x1 * x1, x2 * x2, x1 + x2 + 1.0, 2.0 * x1 - 3.0 * x2
     a = 1.0 + p * p * (19.0 - 14.0 * x1 + 3.0 * s1 - 14.0 * x2 + 6.0 * x1 * x2 + 3.0 * s2)
     b = 30.0 + q * q * (18.0 - 32.0 * x1 + 12.0 * s1 + 48.0 * x2 - 36.0 * x1 * x2 + 27.0 * s2)

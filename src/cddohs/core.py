@@ -30,10 +30,9 @@ class Problem:
 
     The objective contract: ``objective`` maps x (..., d) to values (...), one
     point (d,) to a float and rows (n, d) to (n,), each point's value bit for bit
-    the same in every layout, and reads a point's single components as numpy
-    scalars (``x[..., i][()]``), not 0-d arrays. Only :func:`evaluate_rows` calls
-    it; that adds a stochastic problem's noise, one ``rng.random()`` per point in
-    C order, so the objective is never passed the generator.
+    the same in every layout. Only :func:`evaluate_rows` calls it; that adds a
+    stochastic problem's noise, one ``rng.random()`` per point in C order, so the
+    objective is never passed the generator.
     """
 
     id: str
@@ -190,8 +189,7 @@ def evaluate_rows(problem: Problem, x: np.ndarray,
     if problem.stochastic:
         if rng is None:
             raise ValueError(f"{problem.id} is stochastic and needs an RNG")
-        # [()]: one point's value as a numpy scalar, whose sum costs a fraction of a 0-d array's
-        values = values[()] + rng.random(shape or None)
+        values = values + rng.random(shape or None)
     return values
 
 

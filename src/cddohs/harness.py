@@ -21,7 +21,7 @@ from .cddo import cddo_run
 from .core import RunConfig, RunResult
 from .hs import hs_run
 from .hybrid import cddo_hs_run
-from .stats import summarize, wilcoxon_rank_sum
+from .stats import summarize, table_algorithms, wilcoxon_rank_sum
 
 ALGORITHMS = {
     "cddo": cddo_run,
@@ -179,13 +179,33 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     return {"paths": [str(p) for per_format in zip(*written) for p in per_format]}
 
 
+def _no_repeat(what: str, names) -> None:
+    """Raise on a name that repeats: csv.DictReader and dict keep only its last value."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise ValueError(f"repeated {what} {name!r}")
+        seen.add(name)
+
+
+def _json_object(pairs: list) -> dict:
+    _no_repeat("key", (key for key, _ in pairs))
+    return dict(pairs)
+
+
 def _rows(path, *columns: str) -> list[dict]:
     """The rows of a CSV or JSON table (by suffix), UTF-8 with or without a BOM, as dicts
-    that hold all of ``columns`` and whose 'algo' and 'func' cells are non-empty strings."""
+    that hold all of ``columns`` and whose 'algo' and 'func' cells are non-empty strings.
+    A CSV header that repeats a name, or a JSON object that repeats a key, raises."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = json.load(fh) if Path(path).suffix == ".json" else list(csv.DictReader(fh))
-    except (json.JSONDecodeError, UnicodeDecodeError, csv.Error) as e:
+            if Path(path).suffix == ".json":
+                rows = json.load(fh, object_pairs_hook=_json_object)
+            else:
+                reader = csv.DictReader(fh)
+                rows = list(reader)
+                _no_repeat("column", reader.fieldnames or ())
+    except (ValueError, csv.Error) as e:  # ValueError: JSONDecodeError, UnicodeDecodeError too
         raise ValueError(f"{path}: {e}") from None
     if not rows:  # a header-only CSV, [] or {}: nothing to read
         raise ValueError(f"{path}: no rows")
@@ -247,13 +267,12 @@ def load_averages(path) -> dict:
             if "" in row:
                 raise ValueError(f"{path}: row {n}: an algorithm column has no name")
             averages[func] = {algo: _number(path, f"{func}/{algo}", v) for algo, v in row.items()}
-    algos = dict.fromkeys(itertools.chain.from_iterable(averages.values()))  # in table order
+    try:
+        algos = table_algorithms(averages)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
     if not algos:
         raise ValueError(f"{path}: no algorithm columns")
-    for func, avgs in averages.items():
-        missing = [algo for algo in algos if algo not in avgs]
-        if missing:
-            raise ValueError(f"{path}: {func}: no {missing[0]!r} average")
     return averages
 
 

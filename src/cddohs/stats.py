@@ -87,6 +87,18 @@ class RankTable:
     scores: dict      # algo -> mean placement, lower is better
 
 
+def table_algorithms(results: dict) -> list:
+    """The algorithms of ``results`` ({func: {algo: avg}}) in table order. A function
+    without an average of one of them raises, naming the first such function and the
+    first algorithm it lacks."""
+    algos = list(dict.fromkeys(itertools.chain.from_iterable(results.values())))
+    for func, row in results.items():
+        missing = [algo for algo in algos if algo not in row]
+        if missing:
+            raise ValueError(f"{func}: no {missing[0]!r} average")
+    return algos
+
+
 def rank_algorithms(results: dict) -> RankTable:
     """Rank algorithms per function by average fitness (ascending).
 
@@ -95,12 +107,9 @@ def rank_algorithms(results: dict) -> RankTable:
     tied algorithms over consecutive places. Score = mean placement across
     functions.
     """
-    algo_sets = {frozenset(row) for row in results.values()}
-    if len(algo_sets) > 1:
-        raise ValueError("every function row must contain the same algorithm set")
     if not results:
         raise ValueError("results must be non-empty")
-    algos = sorted(next(iter(algo_sets)))
+    algos = sorted(table_algorithms(results))
     if not algos:
         raise ValueError("need at least one algorithm to rank")
 

@@ -507,6 +507,18 @@ class TestCli:
         assert main(["compare", "--summary", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {path}: no 'algo' column\n"
 
+    @pytest.mark.parametrize("name,text,error", [
+        pytest.param("avgs.csv", "func,a,a,b\nF1,1,9,2\nF2,4,0,3\n", "repeated column 'a'", id="csv"),
+        pytest.param("avgs.json", '[{"func": "F1", "a": 1, "a": 7, "b": 2}]', "repeated key 'a'",
+                     id="json"),
+    ])
+    def test_rank_names_a_repeated_name(self, tmp_path, capsys, name, text, error):
+        # csv.DictReader and json.load would each keep only the last 'a'
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["rank", "--input", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {error}\n"
+
     def test_rank_rejects_nan(self, tmp_path, capsys):
         path = tmp_path / "avgs.csv"
         path.write_text("func,a,b\nF1,nan,1\nF2,2,1\n")
@@ -544,6 +556,11 @@ class TestCli:
         pytest.param("rank", "avgs.json", '[{"func": 1, "a": 2}]', id="json-number-func"),
         pytest.param("compare", "summary.csv", "algo,func,avg\n,F1,1\n", id="empty-algo"),
         pytest.param("rank", "summary.csv", "algo,func,avg\n,F1,1\n", id="rank-empty-algo"),
+        pytest.param("rank", "avgs.csv", "func,a,a,b\nF1,1,9,2\nF2,4,0,3\n", id="repeated-column"),
+        pytest.param("rank", "summary.csv", "algo,func,avg,avg\nhs,F1,1,5\ncddo,F1,2,0\n",
+                     id="repeated-avg-column"),
+        pytest.param("rank", "avgs.json", '[{"func": "F1", "a": 1, "a": 7, "b": 2}]',
+                     id="json-repeated-key"),
     ])
     def test_malformed_table_names_the_file(self, tmp_path, capsys, command, name, text):
         path = tmp_path / name

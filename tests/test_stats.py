@@ -152,8 +152,15 @@ class TestRanking:
         assert rank_algorithms(results).scores["win"] == 1.0
 
     def test_inconsistent_rows_rejected(self):
-        with pytest.raises(ValueError):
+        # the first function, in table order, and the first algorithm it lacks
+        with pytest.raises(ValueError, match=r"^F1: no 'b' average$"):
             rank_algorithms({"F1": {"a": 1.0}, "F2": {"b": 1.0}})
+        with pytest.raises(ValueError, match=r"^F2: no 'c' average$"):
+            rank_algorithms({"F1": {"a": 1.0, "b": 2.0, "c": 3.0}, "F2": {"b": 1.0, "a": 2.0}})
+
+    def test_empty_results_rejected(self):
+        with pytest.raises(ValueError, match="results must be non-empty"):
+            rank_algorithms({})
 
     def test_empty_algorithm_set_rejected(self):
         with pytest.raises(ValueError, match="at least one algorithm"):
