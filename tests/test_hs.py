@@ -109,7 +109,7 @@ def test_improvise_matches_its_uniforms(dim):
             wants.append(clamp(want, p))
             assert improvise(positions, draws, t, p).tobytes() == wants[t].tobytes()
         for start in range(len(u)):  # slices that do and do not hold a redraw
-            ts = slice(start, start + hs.AHEAD)
+            ts = slice(start, start + hs.width(40, dim))
             assert improvise(positions, draws, ts, p).tobytes() == np.array(wants[ts]).tobytes()
     assert choices(hand, m, p).redraws == [False, False, True, True]
 
@@ -124,7 +124,7 @@ def test_improvise_writes_only_into_its_own_row():
     before = [np.copy(a) for a in draws]
     for t in range(500):
         positions = hm.x.copy()
-        improvise(hm.x, draws, slice(t, t + hs.AHEAD), p)
+        improvise(hm.x, draws, slice(t, t + hs.width(40, p.dim)), p)
         assert hm.x.tobytes() == positions.tobytes()
         iterate(hm, p, draws, t, rng)
     assert any(draws.redraws)
@@ -157,7 +157,7 @@ class TestHsRun:
     pytest.param(func, m, id=func if m == 10 else f"{func}-m{m}")
     for m in (10, 70) for func in ("F1", "F7", "F9", "F13", "F14", "F16")])
 def test_blocks_change_nothing(func, pop_size, monkeypatch):
-    # A run draws BLOCK iterations at a time and improvises AHEAD of them at
+    # A run draws BLOCK iterations at a time and improvises hs.width of them at
     # once. A reference loop that improvises, evaluates and keeps one vector at
     # a time, and reads the memory's best each iteration, reaches the same run
     # bit for bit across two block boundaries and a last block of 107
@@ -167,7 +167,7 @@ def test_blocks_change_nothing(func, pop_size, monkeypatch):
     # the walk's cut on rows past the first 64.
     p = make_function(func)
     cfg = RunConfig(pop_size=pop_size, max_iters=2 * hs.BLOCK + 107, base_seed=11)
-    assert (cfg.max_iters - 2 * hs.BLOCK) % hs.AHEAD
+    assert (cfg.max_iters - 2 * hs.BLOCK) % hs.width(cfg.pop_size, p.dim)
     rng = make_rng(cfg.seed_for_run(0))
     hm = HarmonyMemory(*init_population(p, cfg.pop_size, rng))
     trace, accepts = [], 0
@@ -222,9 +222,43 @@ def test_f7_look_ahead_is_one_call(monkeypatch):
     monkeypatch.setattr(hs, "improvise", spy_improvise)
     monkeypatch.setattr(core, "evaluate_rows", spy_rows)
     cfg = RunConfig(pop_size=40, max_iters=500, base_seed=7)
-    hs_run(make_function("F7"), cfg)
-    assert len(lookaheads) > cfg.max_iters / hs.AHEAD  # walks were cut
+    p = make_function("F7")
+    hs_run(p, cfg)
+    assert len(lookaheads) > cfg.max_iters / hs.width(cfg.pop_size, p.dim)  # walks were cut
     assert len(calls) == 1 + len(lookaheads)
+
+
+def test_walk_width_changes_nothing(monkeypatch):
+    # The width only sets how many improvisations a walk evaluates at once:
+    # every width, from one at a time to past a block's walks, gives the
+    # rule's runs bit for bit. At population 40 the rule evaluates 4 rows a
+    # walk at d = 30 (F13) and 16 at d = 2 (F16).
+    def run(func, pop_size):
+        r = hs_run(make_function(func), RunConfig(pop_size=pop_size, max_iters=200, base_seed=23))
+        return (r.trace.tobytes(), r.best_position.tobytes(), repr(r.best_fitness),
+                r.hm_accepts, r.evals)
+
+    rows, evaluate_rows = [], core.evaluate_rows
+
+    def spy_rows(problem, x, rng=None):
+        rows.append(len(x))
+        return evaluate_rows(problem, x, rng)
+
+    monkeypatch.setattr(core, "evaluate_rows", spy_rows)
+    grid = [(f"F{i}", m) for i in range(1, 20) for m in (10, 40, 70)]
+    ruled = {}
+    for func, m in grid:
+        rows.clear()
+        ruled[func, m] = run(func, m)
+        walks = rows[1:]  # the first call evaluates the initial memory
+        if m == 40 and func == "F13":
+            assert max(walks) == 4
+        if m == 40 and func == "F16":
+            assert max(walks) == 16
+    for w in (1, 2, 5, 16, 64):
+        monkeypatch.setattr(hs, "width", lambda m, d: w)
+        for func, m in grid:
+            assert run(func, m) == ruled[func, m], (func, m, w)
 
 
 def test_nan_past_a_cut_does_not_raise(monkeypatch):
