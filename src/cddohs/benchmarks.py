@@ -30,6 +30,7 @@ _KOWALIK_A = np.array(
 )
 _KOWALIK_B = 1.0 / np.array([0.25, 0.5, 1, 2, 4, 6, 8, 10, 12, 14, 16])
 _KOWALIK_B2 = _KOWALIK_B ** 2
+_POLE_SCALE = 2.0 ** -600
 _FOXHOLES_J = np.arange(1, 26)
 
 _HARTMANN3_A = np.array(
@@ -49,13 +50,12 @@ _HARTMANN3_P = np.array(
 # -- objective functions ------------------------------------------------------
 #
 # Each objective meets the contract of core.Problem: x (..., d) to values (...),
-# each point's value bit for bit the same in every layout. F7's fourth and F14's
-# sixth powers are products: on an AVX-512 host, numpy's pow of a negative base
-# takes a slow path (about 30 times the time per value of a positive base) that
-# rounds some values differently from the kernel of a positive base and from
-# another CPU dispatch's kernels, while a product rounds the same for -x as for
-# x under every dispatch.
-# _penalty (F12, F13) raises only bases >= 0 and keeps numpy's pow.
+# each point's value bit for bit the same in every layout. Every integer power is
+# a product (F7's fourth, F12's and F13's penalty's fourth, F14's sixth): on an
+# AVX-512 host, numpy's pow takes slow paths for negative and zero bases (about 30
+# and 3 times the time per value of a positive base), and its AVX-512 kernel rounds
+# about 1 in 20 values differently from another CPU dispatch's kernel, while a
+# product is correctly rounded, the same for -x as for x, under every dispatch.
 # Reductions are the ufunc's own reduce/accumulate (np.add.reduce for np.sum,
 # and so on): bit for bit numpy's functions, without their Python dispatch.
 
@@ -116,10 +116,13 @@ def f11_griewank(x):
 
 
 def _penalty(x, a):
-    # 100 max(|x| - a, 0)^4: +0.0 inside [-a, a], and pow never sees a negative base
+    # 100 max(|x| - a, 0)^4 as 100 (p²)²: +0.0 inside [-a, a]
     p = np.abs(x) - a
     np.maximum(p, 0.0, out=p)
-    return np.add.reduce(100.0 * np.power(p, 4.0), -1)
+    p *= p
+    p *= p
+    p *= 100.0
+    return np.add.reduce(p, -1)
 
 
 def _sin2_and_square(v, c):
@@ -155,13 +158,24 @@ def f14_foxholes(x):
 
 
 def f15_kowalik(x):
-    x1, x2, x3, x4 = (x[..., k, None] for k in range(4))
-    num = x1 * (_KOWALIK_B2 + _KOWALIK_B * x2)
-    den = _KOWALIK_B2 + _KOWALIK_B * x3 + x4  # 0 inside the box, e.g. at x3 = 0, x4 = -b²
-    # a pole is +inf (ranks last), with no warning; the masked divide costs more, so only there
-    q = num / den if np.count_nonzero(den) == den.size else np.divide(
-        num, den, out=np.full(den.shape, np.inf), where=den != 0.0)
-    return np.add.reduce((_KOWALIK_A - q) ** 2, -1)
+    x1, x2, x3, x4 = x[..., 0, None], x[..., 1, None], x[..., 2, None], x[..., 3, None]
+    num = _KOWALIK_B * x2
+    num += _KOWALIK_B2
+    num *= x1  # x1 (b² + b·x2)
+    den = _KOWALIK_B * x3
+    den += _KOWALIK_B2
+    den += x4  # b² + b·x3 + x4: 0 inside the box, e.g. at x3 = 0, x4 = -b²
+    # den·2^-600 is 0 only for |den| <= 2^-475; beyond that, |num| <= 180 in the box keeps
+    # q² below 1e291. A pole is +inf (ranks last), and a den within 2^-475 of one may
+    # overflow to +inf: both with no warning, and only there, as they cost more
+    if np.count_nonzero(den * _POLE_SCALE) == den.size:
+        num /= den
+        e = np.subtract(_KOWALIK_A, num, out=num)
+        e *= e
+        return np.add.reduce(e, -1)
+    with np.errstate(over="ignore"):
+        q = np.divide(num, den, out=np.full(den.shape, np.inf), where=den != 0.0)
+        return np.add.reduce((_KOWALIK_A - q) ** 2, -1)
 
 
 def f16_six_hump_camel(x):
