@@ -313,6 +313,21 @@ def test_f12_f13_equal_their_sines_apart(fid, data):
     assert _bits(value).tobytes() == _bits(before).tobytes()
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 31])
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_f13_equals_its_sines_apart_at_other_dimensions(d, data):
+    # F13 lays out its d angles 3π x_i and its last 2π x_d by one index per dimension;
+    # away from the registry's d = 30 the values are still the form's, at a point,
+    # for rows and for (k, n, d) batches
+    shape = data.draw(st.sampled_from([(d,), (7, d), (3, 4, d)]), label="shape")
+    x = data.draw(hnp.arrays(np.float64, shape, elements=st.one_of(
+        st.sampled_from(_penalized_edges("F13")), st.floats(-50.0, 50.0))), label="x")
+    value, before = benchmarks.f13_penalized2(x), _f13_sines_apart(x)
+    assert type(value) is type(before)
+    assert _bits(value).tobytes() == _bits(before).tobytes()
+
+
 class TestRowContract:
     """Every objective maps rows (n, d) to (n,), row i bit for bit its
     one-point value: CDDO's batched step is exact only if this holds."""

@@ -231,6 +231,29 @@ class TestArchive:
         assert pm.replace_worst(np.ones(1), 1e300)
         assert pm.f.tolist() == [0.0, 1e300]
 
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_kept_worst_row_decides_as_the_first_argmax(self, data):
+        # the archive keeps its worst row between offers; the rule it replaces took
+        # the first argmax at every offer. Few distinct values, so that rows tie,
+        # +inf rows, and offers equal to the current worst
+        values = st.sampled_from([0.0, 1.0, 2.0, 2.0, 3.0, math.inf])
+        k = data.draw(st.integers(1, 6), label="k")
+        f = np.array(data.draw(st.lists(values, min_size=k, max_size=k), label="f"))
+        pm = Archive(np.arange(2.0 * k).reshape(k, 2), f)
+        x, f = pm.x.copy(), pm.f.copy()
+        for i in range(data.draw(st.integers(1, 30), label="offers")):
+            w = int(f.argmax())
+            fitness = data.draw(st.one_of(values, st.just(float(f[w]))), label="fitness")
+            position = np.full(2, -1.0 - i)
+            kept = bool(fitness < f[w])
+            if kept:
+                x[w], f[w] = position, fitness
+            assert pm.replace_worst(position, fitness) is kept
+            if kept:
+                assert pm.replaced == w
+            assert pm.x.tobytes() == x.tobytes() and pm.f.tobytes() == f.tobytes()
+
 
 class TestGiveBack:
     """A stochastic problem draws one noise value per row; the rows past a cut
