@@ -9,10 +9,13 @@ one numpy and one CPU state. For every function in ``--func`` and every row
 count in ``--rows`` it draws seeded points in the function's box: a row count of
 1 is one point, shape (d,), the hybrid refresh's call, and n > 1 is n rows, shape
 (n, d). It first checks that both sides' values are equal bit for bit on those
-inputs and on a batch of ``CHECK_ROWS`` rows; then it times ``--number`` calls per
-side, ``--rounds`` times, the two sides alternating which goes first, and prints
-each side's least time per call in µs. Standard library and numpy only; the
-exit status is 1 if any value differs.
+inputs and on a batch of ``CHECK_ROWS`` rows; then it times ``--rounds`` paired
+rounds, each of ``--number`` calls per side with the two sides back to back,
+alternating which goes first. It prints each side's least time per call in µs
+and in how many rounds the change was faster (``won k of n``; a tie counts for
+neither side). Many short pairs, rather than a few long timings, keep a slow
+stretch of a shared host from falling on one side only. Standard library and
+numpy only; the exit status is 1 if any value differs.
 """
 
 from __future__ import annotations
@@ -51,15 +54,19 @@ def same_bits(a, b) -> bool:
     return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
 
 
-def least_us(objectives: dict, x: np.ndarray, rounds: int, number: int) -> dict:
-    """Each side's least µs per call over ``rounds`` timings of ``number`` calls."""
-    best = {side: float("inf") for side in objectives}
+def paired_us(objectives: dict, x: np.ndarray, rounds: int, number: int) -> tuple[dict, int]:
+    """Each side's least µs per call over ``rounds`` paired timings of ``number``
+    calls, and the number of rounds in which the change took less time."""
+    best = {side: float("inf") for side in SIDES}
+    won = 0
     for r in range(rounds):
+        us = {}
         for side in SIDES if r % 2 == 0 else SIDES[::-1]:
             f = objectives[side]
-            seconds = timeit.timeit(lambda: f(x), number=number)
-            best[side] = min(best[side], seconds / number * 1e6)
-    return best
+            us[side] = timeit.timeit(lambda: f(x), number=number) / number * 1e6
+            best[side] = min(best[side], us[side])
+        won += us["change"] < us["parent"]
+    return best, won
 
 
 def main(argv=None) -> int:
@@ -68,8 +75,8 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path, required=True, help="checkout of the change")
     ap.add_argument("--func", default="F12,F13", help="comma-separated ids (default F12,F13)")
     ap.add_argument("--rows", default="1,4,20,40", help="comma-separated row counts; 1 is one point")
-    ap.add_argument("--rounds", type=int, default=12, help="timings per side and layout (default 12)")
-    ap.add_argument("--number", type=int, default=400, help="calls per timing (default 400)")
+    ap.add_argument("--rounds", type=int, default=60, help="paired rounds per layout (default 60)")
+    ap.add_argument("--number", type=int, default=80, help="calls per side and round (default 80)")
     args = ap.parse_args(argv)
     if args.rounds < 1 or args.number < 1:
         ap.error("--rounds and --number must be at least 1")
@@ -92,10 +99,10 @@ def main(argv=None) -> int:
                 print(f"{fid} rows={n}: the values differ", file=sys.stderr)
                 status = 1
                 continue
-            us = least_us(objectives, x, args.rounds, args.number)
+            us, won = paired_us(objectives, x, args.rounds, args.number)
             change = (us["change"] / us["parent"] - 1.0) * 100.0
             print(f"{fid} rows={n} parent {us['parent']:.2f} us change {us['change']:.2f} us "
-                  f"({change:+.1f}%)", flush=True)
+                  f"({change:+.1f}%, won {won} of {args.rounds})", flush=True)
     return status
 
 

@@ -58,15 +58,12 @@ class Archive:
     """Fixed-size elite set (pattern memory, harmony memory): x (k, d), f (k,).
 
     Only ``replace_worst`` writes an archive's rows once it is built. So the
-    first worst row, ``f.argmax()``, and its value are found at the first offer
-    and again after each accepted one, and a rejected offer costs one float
-    comparison."""
+    first worst row, ``f.argmax()``, and its value, as a Python int and float,
+    are found when the archive is built and again after each accepted offer,
+    and a rejected offer costs one float comparison."""
 
     x: np.ndarray
     f: np.ndarray
-    replaced = -1  # the row the last accepted replace_worst overwrote
-    _worst = -1  # the first worst row, a Python int; -1 until it is found
-    _worst_f = math.inf  # its fitness, a Python float
 
     @classmethod
     def best_of(cls, x: np.ndarray, f: np.ndarray, k: int) -> "Archive":
@@ -75,9 +72,7 @@ class Archive:
         return cls(x[keep], f[keep])
 
     def replace_worst(self, position: np.ndarray, fitness: float) -> bool:
-        """Overwrite the first worst row when ``fitness`` is strictly better."""
-        if self._worst < 0:
-            self._find_worst()
+        """Overwrite the first worst row, ``replaced``, when ``fitness`` is strictly better."""
         if fitness < self._worst_f:
             w = self._worst
             self.x[w] = position
@@ -90,6 +85,8 @@ class Archive:
     def _find_worst(self) -> None:
         self._worst = w = int(self.f.argmax())
         self._worst_f = float(self.f[w])
+
+    __post_init__ = _find_worst
 
 
 @dataclass(frozen=True)

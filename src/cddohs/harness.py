@@ -207,6 +207,10 @@ def _rows(path, *columns: str) -> list[dict]:
                 _no_repeat("column", reader.fieldnames or ())
     except (ValueError, csv.Error) as e:  # ValueError: JSONDecodeError, UnicodeDecodeError too
         raise ValueError(f"{path}: {e}") from None
+    return _checked(path, rows, *columns)
+
+
+def _checked(path, rows, *columns: str) -> list[dict]:
     if not rows:  # a header-only CSV, [] or {}: nothing to read
         raise ValueError(f"{path}: no rows")
     if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
@@ -241,8 +245,12 @@ def _number(path, cell: str, value) -> float:
 
 def load_summary(path) -> dict:
     """Read a summary.csv or summary.json, by suffix, into {(algo, func): avg}."""
+    return _summary(path, _rows(path, "algo", "func", "avg"))
+
+
+def _summary(path, rows: list[dict]) -> dict:
     summary = {}
-    for row in _rows(path, "algo", "func", "avg"):
+    for row in rows:
         algo, func = row["algo"], row["func"]
         if (algo, func) in summary:
             raise ValueError(f"{path}: {algo}/{func}: repeated row")
@@ -257,7 +265,7 @@ def load_averages(path) -> dict:
     Either way, a function without an algorithm's average is an error naming both."""
     rows, averages = _rows(path, "func"), {}
     if "algo" in rows[0]:
-        for (algo, func), avg in load_summary(path).items():
+        for (algo, func), avg in _summary(path, _checked(path, rows, "algo", "func", "avg")).items():
             averages.setdefault(func, {})[algo] = avg
     else:
         for n, row in enumerate(rows, 1):

@@ -35,14 +35,11 @@ class HarmonyMemory(Archive):
 
 
 class Draws(NamedTuple):
-    """The choices of n improvisations, row t for improvisation t: arrays of
-    (n, d), and a flag list of n Python bools, computed once per block."""
+    """The choices of n improvisations, row t for improvisation t: (n, d) arrays."""
 
     source: np.ndarray  # the memory entry a component copies: row * d + column, flat in (m, d)
-    shift: np.ndarray   # added to the copy: uniform(-1, 1) * BW (prob PAR), else -0.0
-    fresh: np.ndarray   # redraw the component (prob 1 - HMCR) instead of the copy
-    redraw: np.ndarray  # uniform in the box
-    redraws: list[bool]  # improvisation t redraws a component: fresh[t].any()
+    keep: np.ndarray    # 1.0 where the component copies, 0.0 where it is redrawn
+    base: np.ndarray    # added to keep * copy: the nudge or -0.0 where it copies, the redraw where not
 
 
 def draw(rng, n: int, m: int, problem: Problem) -> Draws:
@@ -57,12 +54,9 @@ def choices(u: np.ndarray, m: int, problem: Problem) -> Draws:
     PAR test, and the nudge or the redraw (a component takes at most one of them)."""
     d = problem.dim
     fresh = u[:, 0] > HMCR
-    # adding -0.0 leaves every float as it is, -0.0 too, so a component PAR
-    # does not nudge needs no branch
-    return Draws(source=indices(u[:, 1], m) * d + np.arange(d),
-                 shift=np.where(u[:, 2] <= PAR, scale(u[:, 3], -1.0, 1.0) * BW, -0.0),
-                 fresh=fresh, redraw=scale(u[:, 3], problem.lower, problem.upper),
-                 redraws=fresh.any(1).tolist())
+    nudge = np.where(u[:, 2] <= PAR, scale(u[:, 3], -1.0, 1.0) * BW, -0.0)
+    return Draws(source=indices(u[:, 1], m) * d + np.arange(d), keep=np.where(fresh, 0.0, 1.0),
+                 base=np.where(fresh, scale(u[:, 3], problem.lower, problem.upper), nudge))
 
 
 def improvise(positions: np.ndarray, draws: Draws, t: int | slice, problem: Problem) -> np.ndarray:
@@ -71,11 +65,12 @@ def improvise(positions: np.ndarray, draws: Draws, t: int | slice, problem: Prob
 
     Each component: with prob HMCR copy it from a random row (then with prob
     PAR nudge it by uniform(-1,1)*BW), otherwise redraw uniformly in bounds.
-    The redraw's masked copy runs only when one of them redraws (``redraws``).
     """
-    memory = positions.take(draws.source[t]) + draws.shift[t]  # fresh rows
-    if draws.redraws[t] if isinstance(t, int) else True in draws.redraws[t]:
-        np.copyto(memory, draws.redraw[t], where=draws.fresh[t])
+    # copy * keep + base is either, bit for bit: memory rows are finite (drawn in the
+    # box or clamped), so x * 1.0 = x and x * 0.0 = +-0.0; x + -0.0 = x for every x;
+    # and +-0.0 + r = r, as a redraw r is never -0.0 (scale's (hi - lo) * u >= +0.0, plus lo)
+    memory = positions.take(draws.source[t]) * draws.keep[t]  # fresh rows
+    memory += draws.base[t]
     return clamp(memory, problem)
 
 

@@ -440,6 +440,15 @@ class TestCli:
         assert load_averages(wide) == load_averages(long) == {
             "F1": {"a": 1.0, "b": 2.0}, "F2": {"a": 4.0, "b": 3.0}}
 
+    def test_load_averages_parses_a_summary_once(self, tmp_path, monkeypatch):
+        # the rows read to see the 'algo' column are the rows the summary is read from
+        path = tmp_path / "summary.csv"
+        path.write_text("algo,func,avg\nhs,F1,1\ncddo,F1,2\n")
+        calls, rows = [], harness._rows
+        monkeypatch.setattr(harness, "_rows", lambda p, *columns: calls.append(columns) or rows(p, *columns))
+        assert load_averages(path) == {"F1": {"hs": 1.0, "cddo": 2.0}}
+        assert calls == [("func",)]
+
     @pytest.mark.parametrize("name,text", [("avgs.csv", "func,a,b\nF1,1,2\nF2,4,3\n"),
                                            ("avgs.json", '[{"func": "F1", "a": 1, "b": 2}]')],
                              ids=["csv", "json"])

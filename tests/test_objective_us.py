@@ -2,6 +2,7 @@
 prints one timing line per function and row count, and exits 1 when the two
 sides' values differ."""
 
+import re
 import shutil
 import subprocess
 import sys
@@ -29,7 +30,8 @@ def test_times_both_sides_of_equal_objectives(tmp_path):
     lines = proc.stdout.splitlines()
     assert [line.split(" parent ")[0] for line in lines] == \
         ["F12 rows=1", "F12 rows=4", "F13 rows=1", "F13 rows=4"]
-    assert all(" us change " in line and line.endswith("%)") for line in lines)
+    assert all(re.fullmatch(r"F1[23] rows=[14] parent \d+\.\d\d us change \d+\.\d\d us "
+                            r"\([+-]\d+\.\d%, won [01] of 1\)", line) for line in lines), lines
 
 
 def test_exits_1_when_values_differ(tmp_path):
