@@ -30,8 +30,9 @@
 # `best_position` of the same runs. `trace points` digests the lines
 # `func repr(evaluate_at(func, x, rng))` of F1-F19 at 50 points each, drawn
 # by `core.scale` from a fresh make_rng(2023) per function (F7 draws its noise
-# from it after the points): the one-point path of `core.evaluate`, which
-# otherwise only the hybrid's refreshes reach. The last bits of these three
+# from it after the points): the one-point path of `core.evaluate`, which no
+# optimiser reaches (`hs.iterate`, the tests' one-at-a-time reference, calls
+# it). The last bits of these three
 # lines follow numpy's SIMD dispatch, and the expected digests were made with
 # its AVX-512 kernels (X86_V4), so they are compared only where numpy runs them.
 set -eu

@@ -16,7 +16,8 @@ one objective call evaluates them. The result is that of the original
 agent-by-agent method (Abdulhameed & Rashid 2022), which evaluates the agents one
 at a time, in agent order, with the global best updated after each: an agent that
 improves the global best ends the batch, and the candidates after it are rebuilt
-with the new global best and evaluated in one more call.
+with the new global best and evaluated in one more call. The hybrid's HS refresh,
+which that order evaluates before the agents, is row 0 of the same call.
 """
 
 from __future__ import annotations
@@ -132,7 +133,8 @@ def init_state(problem: Problem, config: RunConfig, pm_size: int, rng) -> CddoSt
     return CddoState(x, x.copy(), f.copy(), pm.x[0].copy(), float(pm.f[0]), pm, evals=config.pop_size)
 
 
-def cddo_step(state: CddoState, problem: Problem, draws: Draws, t: int, rng) -> None:
+def cddo_step(state: CddoState, problem: Problem, draws: Draws, t: int, rng,
+              lead: Optional[np.ndarray] = None, offer: Optional[Callable] = None) -> None:
     """Iteration t of ``draws`` over all agents; mutates state.
 
     Branches and moves are computed for all agents at once (the creativity
@@ -146,6 +148,15 @@ def cddo_step(state: CddoState, problem: Problem, draws: Draws, t: int, rng) -> 
     value per row, in row order, so the rows past a cut give their draws back
     (:func:`core.give_back`) and the generator draws what the loop draws.
     ``evals`` counts one evaluation per mover.
+
+    A hybrid step's ``lead``, the refresh's improvisation, is row 0 of the
+    first call, ahead of the movers, as the loop evaluates it before the
+    agents. It is offered to the pattern memory with ``offer`` (memory,
+    position, fitness) -> (kept, position, fitness), and the step books the
+    triple: one evaluation, its acceptance, and the position as gbest when it
+    beats it. Two more cuts follow from that order: a lead that beats gbest
+    cuts at row 0, and one kept into a row that a creative mover picks cuts at
+    the first such mover, whose candidate was built from the old row.
     """
     x, lbest_x = state.x, state.lbest_x
     flat = x.ravel()
@@ -154,52 +165,87 @@ def cddo_step(state: CddoState, problem: Problem, draws: Draws, t: int, rng) -> 
     skill = g[:, 0] < coef[:, 0]  # HP < RHP
     gr = golden_ratio(g[:, 1::2], g[:, 2::2])
     movers = (skill | (np.abs(gr - PHI) <= GR_TOLERANCE)).nonzero()[0]
-    n_skill = int(np.count_nonzero(skill))
+    m, n_skill = len(movers), int(np.count_nonzero(skill))
     # the skill branch's (A, B, X) at every mover, from rows gathered once; take()
     # is the gather without fancy indexing's cost per call
     coef = coef.take(movers, 0)  # the movers' rows
     a, b, z = skill_update(x.take(movers, 0), lbest_x.take(movers, 0), gr.take(movers)[:, None],
                            coef[:, 1:2], coef[:, 2:3])
-    if n_skill < len(movers):  # a creative mover: its rows take the creativity branch's
-        creative_move = creativity_update(state.pm.x.take(draws.pick[t].take(movers), 0), coef[:, 3:])
+    if n_skill < m:  # a creative mover: its rows take the creativity branch's
+        pick = draws.pick[t].take(movers)
+        creative_move = creativity_update(state.pm.x.take(pick, 0), coef[:, 3:])
         creative = ~skill.take(movers)[:, None]
         a, b, z = (np.where(creative, c, s) for s, c in zip((a, b, z), creative_move))
-    if len(movers):
-        # the movers' candidates and fitness, in agent order; a cut rebuilds the rows after it
-        new = clamp(a + b * (state.gbest_x - z), problem)
-        fit = core.evaluate_rows(problem, new, rng)
-        j = 0  # movers before j have their agent-by-agent candidate and fitness
-        while len(stop := (~(fit[j:] >= state.gbest_f)).nonzero()[0]):
-            j += stop[0] + 1  # the rows up to the cut are kept
-            core.give_back(problem, rng, len(movers) - j)
-            f_i = float(fit[j - 1])
+    # the movers' candidates, in agent order, behind the lead; a cut rebuilds the rows after it
+    if lead is not None:
+        rows = np.empty((1 + m, problem.dim))
+        rows[0] = lead
+        new = clamp(a + b * (state.gbest_x - z), problem, out=rows[1:]) if m else None
+    elif m:
+        rows = new = clamp(a + b * (state.gbest_x - z), problem)
+    if m or lead is not None:
+        fit = core.evaluate_rows(problem, rows, rng)
+        cut = m  # the movers from cut on are rebuilt before any is kept
+        if lead is not None:
+            f_i = float(fit[0])
             if math.isnan(f_i):
                 raise core.nan_error(problem)
-            state.gbest_x, state.gbest_f = new[j - 1].copy(), f_i
-            if j == len(movers):
+            kept, position, f_i = offer(state.pm, lead, f_i)
+            state.evals += 1
+            state.refresh_accepts += kept
+            # a creative mover that picks the row the lead replaced built its candidate
+            # from the old row: cut at the first, and rebuild from the memory as the
+            # offer left it (a list's `in` rules out most steps at once)
+            if kept and n_skill < m and (w := state.pm.replaced) in (picks := pick.tolist()):
+                for i, row in enumerate(picks):
+                    if row == w and creative[i, 0]:
+                        cut = i
+                        entries = creativity_update(state.pm.x.take(pick, 0), coef[:, 3:])[0]
+                        a = np.where(creative, entries, a)
+                        break
+            if f_i < state.gbest_f:
+                state.gbest_x, state.gbest_f = position, f_i
+                cut = 0
+            fit = fit[1:]
+    if m:
+        j = 0  # movers before j have their agent-by-agent candidate and fitness
+        while True:
+            if len(stop := (~(fit[j:cut] >= state.gbest_f)).nonzero()[0]):
+                j += stop[0] + 1  # the rows up to the cut are kept
+                f_i = float(fit[j - 1])
+                if math.isnan(f_i):
+                    raise core.nan_error(problem)
+                state.gbest_x, state.gbest_f = new[j - 1].copy(), f_i
+            elif cut < m:
+                j = cut
+            else:
                 break
-            new[j:] = clamp(a[j:] + b[j:] * (state.gbest_x - z[j:]), problem)
+            cut = m
+            core.give_back(problem, rng, m - j)
+            if j == m:
+                break
+            clamp(a[j:] + b[j:] * (state.gbest_x - z[j:]), problem, out=new[j:])
             fit[j:] = core.evaluate_rows(problem, new[j:], rng)
         x[movers] = new
         better = (fit < state.lbest_f.take(movers)).nonzero()[0]
         improved = movers.take(better)
         lbest_x[improved] = new.take(better, 0)
         state.lbest_f[improved] = fit.take(better)
-    state.evals += len(movers)
+    state.evals += m
     state.skill += n_skill
-    state.creativity += len(movers) - n_skill
-    state.rest += len(x) - len(movers)
+    state.creativity += m - n_skill
+    state.rest += len(x) - m
     state.pm_replacements += state.pm.replace_worst(state.gbest_x, state.gbest_f)
 
 
 def _run_engine(problem: Problem, config: RunConfig, pm_fraction: float,
                 run_index: int, refresh: Optional[Callable] = None) -> RunResult:
     """Shared driver for CDDO and the hybrid; run r uses seed base_seed + r. The
-    hybrid passes its larger pattern-memory fraction and a refresh of the pattern
-    memory with :func:`hs.iterate`'s signature, run before each step from a (4, d)
-    block of uniforms that precedes the step's in the iteration's row. The engine
-    books it: one evaluation, its acceptance, and its vector, an evaluated
-    solution, as the global best when it beats it."""
+    hybrid passes its larger pattern-memory fraction and the refresh's offer to the
+    pattern memory, with :func:`hs.offer`'s signature. Each iteration improvises
+    the refresh's vector from the memory as it stands, from a (4, d) block of
+    uniforms that precedes the step's in the iteration's row, and the step
+    evaluates it ahead of its movers, offers it and books it (:func:`cddo_step`)."""
     if problem.dim < 2:
         raise ValueError(f"{problem.id}: CDDO needs dim >= 2 (golden ratio uses two distinct components)")
     seed = config.seed_for_run(run_index)
@@ -215,13 +261,8 @@ def _run_engine(problem: Problem, config: RunConfig, pm_fraction: float,
         if refresh is not None:
             improvisations = hs.choices(u[:, :w].reshape(k, 4, problem.dim), pm_size, problem)
         for t in range(k):
-            if refresh is not None:
-                kept, position, fitness = refresh(state.pm, problem, improvisations, t, rng)
-                state.evals += 1
-                state.refresh_accepts += kept
-                if fitness < state.gbest_f:
-                    state.gbest_x, state.gbest_f = position, fitness
-            cddo_step(state, problem, steps, t, rng)
+            lead = None if refresh is None else hs.improvise(state.pm.x, improvisations, t, problem)
+            cddo_step(state, problem, steps, t, rng, lead, refresh)
             trace[start + t] = state.gbest_f
     return RunResult(
         best_fitness=state.gbest_f,

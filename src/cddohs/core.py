@@ -152,9 +152,9 @@ def indices(u: np.ndarray, n: int | np.ndarray) -> np.ndarray:
     return np.minimum((u * n).astype(np.intp), n - 1)
 
 
-def clamp(position: np.ndarray, problem: Problem) -> np.ndarray:
+def clamp(position: np.ndarray, problem: Problem, out: Optional[np.ndarray] = None) -> np.ndarray:
     # the ufunc, without np.clip's and ndarray.clip's Python-level dispatch; -0.0 stays -0.0
-    return _clip(position, problem.lower, problem.upper)
+    return _clip(position, problem.lower, problem.upper, out=out)
 
 
 def nan_error(problem: Problem) -> ValueError:

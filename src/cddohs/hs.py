@@ -89,11 +89,15 @@ def width(m: int, d: int) -> int:
 
 def iterate(memory: Archive, problem: Problem, draws: Draws, t: int,
             rng) -> tuple[bool, np.ndarray, float]:
-    """One standard HS iteration (the hybrid's PM refresh): improvise
-    ``draws``' vector t, evaluate it (F7's noise is drawn from rng), keep it if
-    it beats the worst row; (kept, position, fitness)."""
+    """One standard HS iteration, one at a time: improvise ``draws``' vector t,
+    evaluate it (F7's noise is drawn from rng) and :func:`offer` it. The hybrid's
+    refresh is this iteration with the evaluation in its step's objective call."""
     position = improvise(memory.x, draws, t, problem)
-    fitness = evaluate(problem, position, rng)
+    return offer(memory, position, evaluate(problem, position, rng))
+
+
+def offer(memory: Archive, position: np.ndarray, fitness: float) -> tuple[bool, np.ndarray, float]:
+    """Keep an evaluated vector if it beats the memory's worst row; (kept, position, fitness)."""
     return memory.replace_worst(position, fitness), position, fitness
 
 

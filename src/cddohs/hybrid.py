@@ -10,10 +10,10 @@ from .core import Problem, RunConfig, RunResult
 PM_FRACTION = 0.8
 
 
-# One HS iteration over the PM, which CDDO's engine runs and books; a name of
-# its own, so that a wrapper set on ``hybrid._improvise_refresh`` sees every
-# refresh and no HS iteration.
-_improvise_refresh = hs.iterate
+# The HS refresh's offer to the PM, of the improvisation that CDDO's engine
+# evaluates in its step's objective call and books; a name of its own, so that a
+# wrapper set on ``hybrid._improvise_refresh`` sees every refresh and no HS iteration.
+_improvise_refresh = hs.offer
 
 
 def cddo_hs_run(problem: Problem, config: RunConfig, run_index: int = 0) -> RunResult:

@@ -72,15 +72,20 @@ def _step(state, problem, rng):
     cddo_step(state, problem, _draws(u, problem, len(state.pm.f)), 0, rng)
 
 
-def reference_refresh(state, problem, rng):
-    """The hybrid's refresh from one improvisation's (4, d) draws, booked as
-    the engine books it: one evaluation, its acceptance, and gbest."""
-    kept, position, fitness = hs.iterate(state.pm, problem,
-                                         hs.draw(rng, 1, len(state.pm.f), problem), 0, rng)
+def _book_refresh(state, kept, position, fitness):
+    """A refresh's (kept, position, fitness), booked as a hybrid step books it:
+    one evaluation, its acceptance, and gbest."""
     state.evals += 1
     state.refresh_accepts += kept
     if fitness < state.gbest_f:
         state.gbest_x, state.gbest_f = position, fitness
+
+
+def reference_refresh(state, problem, rng):
+    """The hybrid's refresh from one improvisation's (4, d) draws, one at a time
+    (hs.iterate), booked."""
+    _book_refresh(state, *hs.iterate(state.pm, problem,
+                                     hs.draw(rng, 1, len(state.pm.f), problem), 0, rng))
 
 
 class TestHandPressure:
@@ -313,16 +318,37 @@ def reference_step(state, problem, rng):
     state.pm_replacements += state.pm.replace_worst(state.gbest_x, state.gbest_f)
 
 
+class IterationRng:
+    """One iteration's n uniforms, drawn from rng in one call as the engine draws a
+    one-iteration block: random(size) hands them out in order. The iteration's
+    noise comes from rng, after them: a one-point value, random(), at any time,
+    and rows' values once the uniforms are spent (give_back steps rng back)."""
+
+    def __init__(self, rng, n):
+        self._rng, self._u, self.bit_generator = rng, rng.random(n), rng.bit_generator
+
+    def random(self, size=None):
+        if size is None or not len(self._u):
+            return self._rng.random(size)
+        k = math.prod(size)
+        block, self._u = self._u[:k].reshape(size), self._u[k:]
+        return block
+
+
 def reference_run(problem, config, pm_fraction, refresh=None):
     """Run 0 of the engine one iteration at a time: refresh(state, problem, rng),
-    if given, then one step from its own draws; (state, trace)."""
+    if given, then one step, each from its part of the iteration's uniforms (the
+    refresh's (4, d) block, then the step's (P, 8)), drawn in one call ahead of
+    the iteration's noise; (state, trace)."""
     rng = make_rng(config.seed_for_run(0))
     state = init_state(problem, config, math.ceil(pm_fraction * config.pop_size), rng)
+    n = (0 if refresh is None else 4 * problem.dim) + N_UNIFORMS * config.pop_size
     trace = np.empty(config.max_iters)
     for t in range(config.max_iters):
+        draws = IterationRng(rng, n)
         if refresh is not None:
-            refresh(state, problem, rng)
-        _step(state, problem, rng)
+            refresh(state, problem, draws)
+        _step(state, problem, draws)
         trace[t] = state.gbest_f
     return state, trace
 
@@ -584,6 +610,79 @@ class TestCddoStep:
         for point in (self.NEW_GBEST, self.FRESH):  # the first batch, the rebuilt one
             with pytest.raises(ValueError, match="nan-at-point: objective returned NaN"):
                 self._two_agent_step(self._nan_at(point), _step)
+
+
+class TestLeadStep:
+    """A hybrid step: the refresh's improvisation (the lead) is row 0 of the step's
+    first objective call, and the step reaches what the one-at-a-time loop
+    reaches: the lead evaluated, offered and booked, then the agents."""
+
+    PM = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0], [5.0, 5.0, 5.0]])  # the worst is row 2
+    GBEST = np.array([0.5, 0.5, 0.5])
+    # three agents whose golden ratio (M = 0, N = 1) is 1.618: the creativity branch,
+    # unless RHP sends them to the skill branch
+    X = np.array([[2.0, 1.236, -1.0], [4.0, 2.472, 3.0], [-3.0, -1.854, 2.0]])
+
+    def _lead_step(self, lead, u, problem=None, offer=hs.offer):
+        """cddo_step with ``lead`` from the (3, 8) block u, and the reference: the
+        lead evaluated, offered and booked one at a time, then reference_step."""
+        p = problem or _problem(dim=3)
+        x = self.X
+        f = np.sum(x * x, axis=1)
+        pm = Archive(self.PM.copy(), np.sum(self.PM * self.PM, axis=1))
+        state = CddoState(x.copy(), x.copy(), f.copy(), self.GBEST.copy(),
+                          float(self.GBEST @ self.GBEST), pm, evals=3)
+        ref = _copy(state)
+        cddo_step(state, p, _draws(u, p, len(pm.f)), 0, make_rng(0), lead, offer)
+        _book_refresh(ref, *hs.offer(ref.pm, lead, evaluate(p, lead)))
+        reference_step(ref, p, BlockRng(u))
+        _assert_same(state, ref)
+        return state
+
+    @staticmethod
+    def _block(rhp, picks):
+        """The (3, 8) block: RHP's uniform and each agent's pattern-memory pick's."""
+        u = np.zeros((3, N_UNIFORMS))
+        u[:, U_RHP] = rhp
+        u[:, 6] = 0.5  # creative SR 0.25, skill SR 0.8
+        u[:, 7] = picks
+        return u
+
+    def test_a_lead_kept_into_a_picked_row_cuts_at_the_first_creative_mover_there(self):
+        # the lead (27) replaces row 2 (75) and does not beat gbest (0.75); agent 0
+        # picks row 0, agents 1 and 2 row 2: each builds its candidate from the lead
+        lead = np.array([3.0, 3.0, 3.0])
+        state = self._lead_step(lead, self._block(0.0, [0.1, 0.9, 0.9]))
+        assert (state.creativity, state.refresh_accepts, state.evals) == (3, 1, 7)
+        assert np.array_equal(state.x[1:], np.tile(lead + 0.25 * self.GBEST, (2, 1)))
+        assert np.array_equal(state.x[0], self.PM[0] + 0.25 * self.GBEST)
+
+    def test_a_lead_that_beats_gbest_cuts_at_row_0(self):
+        # every agent takes the skill branch, which pulls toward gbest: each
+        # candidate is built with the lead as gbest
+        lead = np.array([0.1, -0.1, 0.2])
+        state = self._lead_step(lead, self._block(0.999, 0.5))
+        assert state.skill == 3 and state.refresh_accepts == 1
+        assert np.array_equal(state.gbest_x, lead)  # no agent beats it
+        gr = (self.X[:, 0] + self.X[:, 1]) / self.X[:, 0]
+        fresh = [_skill(x, x, lead, g, 0.8, 0.8, _problem(dim=3)) for x, g in zip(self.X, gr)]
+        stale = [_skill(x, x, self.GBEST, g, 0.8, 0.8, _problem(dim=3)) for x, g in zip(self.X, gr)]
+        assert np.allclose(state.x, fresh) and not np.allclose(state.x, stale)
+
+    def test_nan_in_the_lead_raises_before_the_offer(self):
+        offers = []
+
+        def offer(pm, position, fitness):
+            offers.append(fitness)
+            return hs.offer(pm, position, fitness)
+
+        lead = np.array([3.0, 3.0, 3.0])
+        p = Problem(id="nan-at-lead", dim=3, lower=-10.0, upper=10.0,
+                    objective=lambda x: np.where(np.all(x == lead, axis=-1), np.nan,
+                                                 np.sum(x * x, axis=-1)))
+        with pytest.raises(ValueError, match="^nan-at-lead: objective returned NaN$"):
+            self._lead_step(lead, self._block(0.0, 0.9), p, offer)
+        assert offers == []
 
 
 class TestCddoRun:

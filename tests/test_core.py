@@ -311,9 +311,7 @@ class TestEvaluateRows:
         shapes = r"^one-element: objective returned shape \(1,\) for x of shape \(3,\)"
         with pytest.raises(ValueError, match=shapes):
             evaluate(p, np.zeros(3))
-        with pytest.raises(ValueError, match=shapes):  # the hybrid's refresh is one point
-            cddo_hs_run(p, RunConfig(pop_size=5, max_iters=5))
-        for run in (cddo_run, hs_run):  # these evaluate rows only
+        for run in (cddo_run, hs_run, cddo_hs_run):  # these evaluate rows only
             assert run(p, RunConfig(pop_size=5, max_iters=5)).best_fitness >= 0.0
 
     @pytest.mark.parametrize("shape", [(11,), (9,), (4, 11), (2, 3, 1)])

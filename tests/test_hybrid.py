@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,8 +18,9 @@ def _pm(positions):
 
 
 def _refresh_once(pm, problem, rng):
-    """One refresh from one improvisation's draws from rng; (kept, position, fitness)."""
-    return _improvise_refresh(pm, problem, hs.draw(rng, 1, len(pm.f), problem), 0, rng)
+    """One refresh from one improvisation's draws from rng, one at a time (the
+    improvisation, its value and the offer); (kept, position, fitness)."""
+    return hs.iterate(pm, problem, hs.draw(rng, 1, len(pm.f), problem), 0, rng)
 
 
 class TestRefresh:
@@ -82,8 +84,8 @@ class TestHybridRun:
         # A refresh that never improves leaves CDDO with an 80% pattern memory,
         # plus one counted evaluation per iteration. The refresh's uniforms are
         # drawn with the step's, so the plain run draws them and drops them.
-        def inert_refresh(pm, problem, draws, t, rng):
-            return False, np.zeros(problem.dim), math.inf
+        def inert_refresh(pm, position, fitness):
+            return False, np.zeros(len(position)), math.inf
 
         def drawn_and_dropped(state, problem, rng):
             rng.random((4, problem.dim))
@@ -96,17 +98,46 @@ class TestHybridRun:
         assert np.array_equal(hyb.trace, trace)
         assert hyb.evals == plain.evals + cfg.max_iters
 
-    @pytest.mark.parametrize("func", ["F16", "F5"])
-    def test_engine_runs_and_books_a_refresh_alone(self, func):
+    @pytest.mark.parametrize("func", ["F16", "F5", "F7", "F13"])
+    def test_engine_runs_and_books_a_refresh_alone(self, func, monkeypatch):
         # the refresh-only variant (CDDO's 20% memory, the hybrid's refresh) is
-        # the engine given hs.iterate: it books each refresh as the reference does
+        # the engine given hs.offer: it books each refresh as the reference does.
+        # F7's noise follows each block's uniforms, so its run draws one iteration
+        # a block, as the reference does
         p = make_function(func)
         cfg = RunConfig(pop_size=10, max_iters=cddo.BLOCK + 7, base_seed=13)
-        r = _run_engine(p, cfg, cddo.PM_FRACTION, 0, refresh=hs.iterate)
+        if p.stochastic:
+            monkeypatch.setattr(cddo, "BLOCK", 1)
+        r = _run_engine(p, cfg, cddo.PM_FRACTION, 0, refresh=hs.offer)
         state, trace = reference_run(p, cfg, cddo.PM_FRACTION, reference_refresh)
         assert r.trace.tobytes() == trace.tobytes()
         assert (r.evals, r.refresh_accepts) == (state.evals, state.refresh_accepts)
         assert r.refresh_accepts > 0
+
+    def test_evaluates_rows_only_and_offers_each_refresh_once(self, monkeypatch):
+        # the refresh's improvisation is row 0 of its step's objective call, so no
+        # call takes a lone point (d,), not even in a step without movers (F19 at
+        # population 3); the hook is called once a refresh, its acceptance at index 0
+        offers = []
+
+        def offer(pm, position, fitness):
+            offers.append(_improvise_refresh(pm, position, fitness))
+            return offers[-1]
+
+        monkeypatch.setattr(hybrid, "_improvise_refresh", offer)
+        for func, pop in (("F1", 10), ("F7", 10), ("F19", 3)):
+            p, ndims = make_function(func), set()
+
+            def spy(x, objective=p.objective):
+                ndims.add(x.ndim)
+                return objective(x)
+
+            offers.clear()
+            cfg = RunConfig(pop_size=pop, max_iters=40, base_seed=5)
+            r = cddo_hs_run(dataclasses.replace(p, objective=spy), cfg)
+            assert ndims == {2}, func
+            assert len(offers) == cfg.max_iters, func
+            assert sum(kept for kept, _, _ in offers) == r.refresh_accepts > 0, func
 
     def test_beats_hs_on_sphere(self):
         # direction of the published comparison, small-scale smoke version
