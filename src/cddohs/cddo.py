@@ -55,11 +55,9 @@ class CddoState:
     gbest_x: np.ndarray  # (d,), replaced and never changed in place
     gbest_f: float
     pm: Archive
-    evals: int = 0
-    # the RunResult counters of the same names
+    # the RunResult counters of the same names; _run_engine derives evals and rest
     skill: int = 0
     creativity: int = 0
-    rest: int = 0
     pm_replacements: int = 0
     refresh_accepts: int = 0
 
@@ -130,7 +128,7 @@ def creativity_update(pm_entry: np.ndarray, sr):
 def init_state(problem: Problem, config: RunConfig, pm_size: int, rng) -> CddoState:
     x, f = core.init_population(problem, config.pop_size, rng)
     pm = Archive.best_of(x, f, pm_size)  # row 0 is the first minimum, np.argmin's row
-    return CddoState(x, x.copy(), f.copy(), pm.x[0].copy(), float(pm.f[0]), pm, evals=config.pop_size)
+    return CddoState(x, x.copy(), f.copy(), pm.x[0].copy(), float(pm.f[0]), pm)
 
 
 def cddo_step(state: CddoState, problem: Problem, draws: Draws, t: int, rng,
@@ -147,16 +145,16 @@ def cddo_step(state: CddoState, problem: Problem, draws: Draws, t: int, rng,
     and evaluated in one more call. A stochastic problem draws one noise
     value per row, in row order, so the rows past a cut give their draws back
     (:func:`core.give_back`) and the generator draws what the loop draws.
-    ``evals`` counts one evaluation per mover.
+    It books its movers by branch, each one evaluation (see :func:`_run_engine`).
 
     A hybrid step's ``lead``, the refresh's improvisation, is row 0 of the
     first call, ahead of the movers, as the loop evaluates it before the
     agents. It is offered to the pattern memory with ``offer`` (memory,
-    position, fitness) -> (kept, position, fitness), and the step books the
-    triple: one evaluation, its acceptance, and the position as gbest when it
-    beats it. Two more cuts follow from that order: a lead that beats gbest
-    cuts at row 0, and one kept into a row that a creative mover picks cuts at
-    the first such mover, whose candidate was built from the old row.
+    position, fitness) -> (kept, position, fitness), and the step books its
+    acceptance, and the position as gbest when it beats it. Two more cuts
+    follow from that order: a lead that beats gbest cuts at row 0, and one kept
+    into a row that a creative mover picks cuts at the first such mover, whose
+    candidate was built from the old row.
     """
     x, lbest_x = state.x, state.lbest_x
     flat = x.ravel()
@@ -191,7 +189,6 @@ def cddo_step(state: CddoState, problem: Problem, draws: Draws, t: int, rng,
             if math.isnan(f_i):
                 raise core.nan_error(problem)
             kept, position, f_i = offer(state.pm, lead, f_i)
-            state.evals += 1
             state.refresh_accepts += kept
             # a creative mover that picks the row the lead replaced built its candidate
             # from the old row: cut at the first, and rebuild from the memory as the
@@ -231,10 +228,8 @@ def cddo_step(state: CddoState, problem: Problem, draws: Draws, t: int, rng,
         improved = movers.take(better)
         lbest_x[improved] = new.take(better, 0)
         state.lbest_f[improved] = fit.take(better)
-    state.evals += m
     state.skill += n_skill
     state.creativity += m - n_skill
-    state.rest += len(x) - m
     state.pm_replacements += state.pm.replace_worst(state.gbest_x, state.gbest_f)
 
 
@@ -245,7 +240,10 @@ def _run_engine(problem: Problem, config: RunConfig, pm_fraction: float,
     pattern memory, with :func:`hs.offer`'s signature. Each iteration improvises
     the refresh's vector from the memory as it stands, from a (4, d) block of
     uniforms that precedes the step's in the iteration's row, and the step
-    evaluates it ahead of its movers, offers it and books it (:func:`cddo_step`)."""
+    evaluates it ahead of its movers, offers it and books it (:func:`cddo_step`).
+    A run's evals are its population's, one per mover and one per refresh, and its
+    rest the agent steps that did not move; its trace is gbest after each iteration
+    as Python floats, as :func:`hs.hs_run` books its own."""
     if problem.dim < 2:
         raise ValueError(f"{problem.id}: CDDO needs dim >= 2 (golden ratio uses two distinct components)")
     seed = config.seed_for_run(run_index)
@@ -253,7 +251,7 @@ def _run_engine(problem: Problem, config: RunConfig, pm_fraction: float,
     pop, pm_size = config.pop_size, math.ceil(pm_fraction * config.pop_size)
     state = init_state(problem, config, pm_size, rng)
     w = 4 * problem.dim if refresh is not None else 0  # the refresh's uniforms
-    trace = np.empty(config.max_iters)
+    trace = []
     for start in range(0, config.max_iters, BLOCK):
         k = min(BLOCK, config.max_iters - start)
         u = rng.random((k, w + N_UNIFORMS * pop))
@@ -263,16 +261,17 @@ def _run_engine(problem: Problem, config: RunConfig, pm_fraction: float,
         for t in range(k):
             lead = None if refresh is None else hs.improvise(state.pm.x, improvisations, t, problem)
             cddo_step(state, problem, steps, t, rng, lead, refresh)
-            trace[start + t] = state.gbest_f
+            trace.append(state.gbest_f)
+    moves = state.skill + state.creativity
     return RunResult(
         best_fitness=state.gbest_f,
         best_position=state.gbest_x.copy(),
-        trace=trace,
+        trace=np.array(trace),
         seed=seed,
-        evals=state.evals,
+        evals=pop + moves + (config.max_iters if refresh is not None else 0),
         skill=state.skill,
         creativity=state.creativity,
-        rest=state.rest,
+        rest=pop * config.max_iters - moves,
         pm_replacements=state.pm_replacements,
         refresh_accepts=state.refresh_accepts,
     )

@@ -66,10 +66,63 @@ def _creativity(pm_entry, gbest, sr, problem):
     return _move(creativity_update(pm_entry, sr), gbest, problem)
 
 
+@dataclasses.dataclass
+class Tallied(CddoState):
+    """A step's state with the two counts that a run derives from its branch
+    counts (cddo._run_engine), tallied apart from the engine: reference_step and
+    _book_refresh book them one at a time, and _counted_step from the rows that
+    the step's objective calls kept and the agents that did not move."""
+
+    evals: int = 0
+    rest: int = 0
+
+
+class KeptRows:
+    """The rows evaluated in a with block less the rows given back, in ``n``:
+    the evaluations kept, counted by spies on core.evaluate_rows (which
+    init_population calls too) and core.give_back."""
+
+    def __enter__(self):
+        self.n = 0
+        self._real = evaluate_rows, give_back = core.evaluate_rows, core.give_back
+
+        def counted(problem, x, rng=None):
+            values = evaluate_rows(problem, x, rng)
+            self.n += values.size
+            return values
+
+        def given_back(problem, rng, rows):
+            self.n -= int(rows)
+            give_back(problem, rng, rows)
+
+        core.evaluate_rows, core.give_back = counted, given_back
+        return self
+
+    def __exit__(self, *exc):
+        core.evaluate_rows, core.give_back = self._real
+
+
+def _init(problem, config, pm_size, rng):
+    """init_state as a Tallied state, whose evals are the rows it kept."""
+    with KeptRows() as kept:
+        state = init_state(problem, config, pm_size, rng)
+    return Tallied(**vars(state), evals=kept.n)
+
+
+def _counted_step(state, problem, draws, t, rng, lead=None, offer=None):
+    """cddo_step on a Tallied state, tallying the rows its objective calls kept
+    and the agents that took neither branch."""
+    moved = state.skill + state.creativity
+    with KeptRows() as kept:
+        cddo_step(state, problem, draws, t, rng, lead, offer)
+    state.evals += kept.n
+    state.rest += len(state.x) - (state.skill + state.creativity - moved)
+
+
 def _step(state, problem, rng):
-    """cddo_step from one iteration's draws: the (P, 8) block reference_step reads."""
+    """_counted_step from one iteration's draws: the (P, 8) block reference_step reads."""
     u = rng.random((len(state.x), N_UNIFORMS))
-    cddo_step(state, problem, _draws(u, problem, len(state.pm.f)), 0, rng)
+    _counted_step(state, problem, _draws(u, problem, len(state.pm.f)), 0, rng)
 
 
 def _book_refresh(state, kept, position, fitness):
@@ -341,7 +394,7 @@ def reference_run(problem, config, pm_fraction, refresh=None):
     refresh's (4, d) block, then the step's (P, 8)), drawn in one call ahead of
     the iteration's noise; (state, trace)."""
     rng = make_rng(config.seed_for_run(0))
-    state = init_state(problem, config, math.ceil(pm_fraction * config.pop_size), rng)
+    state = _init(problem, config, math.ceil(pm_fraction * config.pop_size), rng)
     n = (0 if refresh is None else 4 * problem.dim) + N_UNIFORMS * config.pop_size
     trace = np.empty(config.max_iters)
     for t in range(config.max_iters):
@@ -354,9 +407,10 @@ def reference_run(problem, config, pm_fraction, refresh=None):
 
 
 def _copy(state):
-    return CddoState(state.x.copy(), state.lbest_x.copy(), state.lbest_f.copy(),
-                     state.gbest_x.copy(), state.gbest_f,
-                     Archive(state.pm.x.copy(), state.pm.f.copy()), state.evals)
+    return Tallied(state.x.copy(), state.lbest_x.copy(), state.lbest_f.copy(),
+                   state.gbest_x.copy(), state.gbest_f,
+                   Archive(state.pm.x.copy(), state.pm.f.copy()),
+                   evals=state.evals, rest=state.rest)
 
 
 def _assert_same(a, b):
@@ -371,7 +425,7 @@ class TestCddoStep:
         p = make_function("F1")
         cfg = RunConfig(pop_size=40, base_seed=5)
         rng = make_rng(5)
-        state = init_state(p, cfg, 8, rng)
+        state = _init(p, cfg, 8, rng)
         before = state.gbest_f
         _step(state, p, rng)
         assert state.gbest_f <= before
@@ -380,7 +434,7 @@ class TestCddoStep:
         p = make_function("F1")
         cfg = RunConfig(pop_size=40, base_seed=5)
         rng = make_rng(5)
-        state = init_state(p, cfg, 8, rng)
+        state = _init(p, cfg, 8, rng)
         for _ in range(5):
             before = (state.evals, state.skill, state.creativity, state.rest)
             _step(state, p, rng)
@@ -388,7 +442,7 @@ class TestCddoStep:
                 now - was for now, was in zip(
                     (state.evals, state.skill, state.creativity, state.rest), before))
             assert skill + creativity + rest == cfg.pop_size  # one branch per agent
-            assert evals == skill + creativity  # one evaluation per updated agent
+            assert evals == skill + creativity  # one row kept per updated agent
             assert skill > 0
 
     def test_resting_step_makes_no_objective_call(self):
@@ -396,11 +450,11 @@ class TestCddoStep:
         p = Problem(id="t", dim=2, lower=-10.0, upper=10.0, objective=calls.append,
                     stochastic=True)
         x = np.ones((5, 2))  # every golden ratio is (1 + 1) / 1 = 2, outside phi's tolerance
-        state = CddoState(x, x.copy(), np.full(5, 2.0), x[0].copy(), 2.0,
-                          Archive(x[:1].copy(), np.array([2.0])), evals=5)
+        state = Tallied(x, x.copy(), np.full(5, 2.0), x[0].copy(), 2.0,
+                        Archive(x[:1].copy(), np.array([2.0])), evals=5)
         u = np.zeros((5, N_UNIFORMS))  # RHP at the lower bound: no agent takes the skill branch
         rng = make_rng(0)
-        cddo_step(state, p, _draws(u, p), 0, rng)
+        _counted_step(state, p, _draws(u, p), 0, rng)
         assert calls == []
         assert (state.rest, state.skill, state.creativity, state.evals) == (5, 0, 0, 5)
         assert np.array_equal(state.x, np.ones((5, 2)))
@@ -464,8 +518,8 @@ class TestCddoStep:
         p = _problem(dim=3)
         f = np.sum(x * x, axis=1)
         g = int(np.argmin(f))
-        state = CddoState(x.copy(), x.copy(), f.copy(), x[g].copy(), float(f[g]),
-                          Archive.best_of(x, f, 2), evals=len(x))
+        state = Tallied(x.copy(), x.copy(), f.copy(), x[g].copy(), float(f[g]),
+                        Archive.best_of(x, f, 2), evals=len(x))
         ref = _copy(state)
         calls = []
 
@@ -505,7 +559,7 @@ class TestCddoStep:
     def test_matches_agent_by_agent_reference(self, func):
         p = make_function(func)
         cfg = RunConfig(pop_size=40, base_seed=31)
-        state = init_state(p, cfg, 8, make_rng(31))
+        state = _init(p, cfg, 8, make_rng(31))
         ref = _copy(state)
         rng, ref_rng = make_rng(32), make_rng(32)
         for _ in range(30):
@@ -518,7 +572,7 @@ class TestCddoStep:
     def test_hybrid_matches_agent_by_agent_reference(self):
         p = make_function("F5")
         cfg = RunConfig(pop_size=40, base_seed=33)
-        state = init_state(p, cfg, 32, make_rng(33))
+        state = _init(p, cfg, 32, make_rng(33))
         ref = _copy(state)
         rng, ref_rng = make_rng(34), make_rng(34)
         for _ in range(30):
@@ -550,7 +604,7 @@ class TestCddoStep:
         for seed in range(35, 60):
             calls.clear()
             values.clear()
-            state = init_state(f7, RunConfig(pop_size=40, base_seed=seed), 8, make_rng(seed))
+            state = _init(f7, RunConfig(pop_size=40, base_seed=seed), 8, make_rng(seed))
             ref, best = _copy(state), state.gbest_f
             rng, ref_rng = make_rng(seed + 1), make_rng(seed + 1)
             _step(state, dataclasses.replace(f7, objective=counted), rng)
@@ -575,8 +629,8 @@ class TestCddoStep:
     def _two_agent_step(self, p, step):
         x = self.TWO_AGENTS
         f = np.sum(x * x, axis=1)
-        state = CddoState(x.copy(), x.copy(), f.copy(), x[0].copy(), float(f[0]),
-                          Archive.best_of(x, f, 1))
+        state = Tallied(x.copy(), x.copy(), f.copy(), x[0].copy(), float(f[0]),
+                        Archive.best_of(x, f, 1))
         u = np.zeros((2, N_UNIFORMS))
         u[:, U_RHP] = 0.99  # rhp 9.8 > hp: both agents take the skill branch
         u[:, 6:] = 0.5      # sr = lr = 0.8
@@ -630,10 +684,10 @@ class TestLeadStep:
         x = self.X
         f = np.sum(x * x, axis=1)
         pm = Archive(self.PM.copy(), np.sum(self.PM * self.PM, axis=1))
-        state = CddoState(x.copy(), x.copy(), f.copy(), self.GBEST.copy(),
-                          float(self.GBEST @ self.GBEST), pm, evals=3)
+        state = Tallied(x.copy(), x.copy(), f.copy(), self.GBEST.copy(),
+                        float(self.GBEST @ self.GBEST), pm, evals=3)
         ref = _copy(state)
-        cddo_step(state, p, _draws(u, p, len(pm.f)), 0, make_rng(0), lead, offer)
+        _counted_step(state, p, _draws(u, p, len(pm.f)), 0, make_rng(0), lead, offer)
         _book_refresh(ref, *hs.offer(ref.pm, lead, evaluate(p, lead)))
         reference_step(ref, p, BlockRng(u))
         _assert_same(state, ref)
@@ -694,7 +748,7 @@ class TestCddoRun:
         p = make_function("F16")
         cfg = RunConfig(pop_size=10, base_seed=4)
         rng = make_rng(4)
-        state = init_state(p, cfg, 2, rng)
+        state = _init(p, cfg, 2, rng)
         for _ in range(50):
             _step(state, p, rng)
             for x in (state.x, state.lbest_x, state.pm.x, state.gbest_x):
@@ -704,7 +758,7 @@ class TestCddoRun:
         p = make_function("F10")
         cfg = RunConfig(pop_size=20, base_seed=6)
         rng = make_rng(6)
-        state = init_state(p, cfg, 4, rng)
+        state = _init(p, cfg, 4, rng)
         prev_pm_best = state.pm.f.min()
         for _ in range(40):
             _step(state, p, rng)

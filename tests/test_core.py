@@ -7,9 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cddohs import core
+from cddohs import cddo, core
 from cddohs.benchmarks import FUNCTION_IDS, evaluate_at, make_function
-from cddohs.cddo import cddo_run
+from cddohs.cddo import _run_engine, cddo_run
 from cddohs.core import (
     Archive, Problem, RunConfig, clamp, evaluate, evaluate_rows, give_back, indices,
     init_population, make_rng, scale,
@@ -17,6 +17,8 @@ from cddohs.core import (
 from cddohs.harness import ALGORITHMS
 from cddohs.hs import hs_run
 from cddohs.hybrid import cddo_hs_run
+from test_cddo import KeptRows
+from test_hybrid import inert_refresh
 
 
 def _toy(dim=3, lower=-1.0, upper=1.0):
@@ -494,6 +496,24 @@ def test_run_counters_add_up(run, func):
     assert 0 <= r.pm_replacements <= cfg.max_iters
     assert 0 <= r.refresh_accepts <= refreshes
     assert r.hm_accepts == 0
+
+
+def _engine_with_inert_refresh(problem, config):
+    return _run_engine(problem, config, cddo.PM_FRACTION, 0, refresh=inert_refresh)
+
+
+@pytest.mark.parametrize("func", ["F1", "F7", "F13", "F19"])
+@pytest.mark.parametrize("run", [cddo_run, cddo_hs_run, _engine_with_inert_refresh, hs_run],
+                         ids=lambda f: f.__name__)
+def test_evals_are_the_rows_kept(run, func):
+    """A run's evals are the rows its objective calls evaluated less the rows
+    given back, counted by spies apart from the run's own count (KeptRows):
+    across a block boundary, and on F7, whose rows past a cut give their noise
+    back. A refresh that keeps nothing is still an evaluation."""
+    cfg = RunConfig(pop_size=8, max_iters=cddo.BLOCK + 7, base_seed=5)
+    with KeptRows() as kept:
+        r = run(make_function(func), cfg)
+    assert r.evals == kept.n
 
 
 @pytest.mark.parametrize("run", [cddo_run, cddo_hs_run], ids=lambda f: f.__name__)

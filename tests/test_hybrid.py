@@ -12,6 +12,11 @@ from cddohs.hybrid import _improvise_refresh, cddo_hs_run
 from test_cddo import reference_refresh, reference_run
 
 
+def inert_refresh(pm, position, fitness):
+    """A refresh hook that never keeps its vector nor improves gbest."""
+    return False, np.zeros(len(position)), math.inf
+
+
 def _pm(positions):
     x = np.array(positions, dtype=float)
     return Archive(x, np.sum(np.square(x), axis=1))
@@ -84,9 +89,6 @@ class TestHybridRun:
         # A refresh that never improves leaves CDDO with an 80% pattern memory,
         # plus one counted evaluation per iteration. The refresh's uniforms are
         # drawn with the step's, so the plain run draws them and drops them.
-        def inert_refresh(pm, position, fitness):
-            return False, np.zeros(len(position)), math.inf
-
         def drawn_and_dropped(state, problem, rng):
             rng.random((4, problem.dim))
 
@@ -111,7 +113,8 @@ class TestHybridRun:
         r = _run_engine(p, cfg, cddo.PM_FRACTION, 0, refresh=hs.offer)
         state, trace = reference_run(p, cfg, cddo.PM_FRACTION, reference_refresh)
         assert r.trace.tobytes() == trace.tobytes()
-        assert (r.evals, r.refresh_accepts) == (state.evals, state.refresh_accepts)
+        assert (r.evals, r.rest, r.refresh_accepts) == (state.evals, state.rest,
+                                                        state.refresh_accepts)
         assert r.refresh_accepts > 0
 
     def test_evaluates_rows_only_and_offers_each_refresh_once(self, monkeypatch):

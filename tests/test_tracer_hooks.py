@@ -31,8 +31,8 @@ def _walks_cover(starts, iters, width):
 
 def test_every_hook_records_and_counts_accepts(tmp_path, monkeypatch):
     # every call's t, recorded beneath the tracer's wrapper: the hybrid's
-    # refresh (hs.iterate) improvises one vector, an index t; HS a slice as
-    # wide as hs.width of its memory and dimension
+    # refresh (_run_engine's hs.improvise, offered by hs.offer) improvises one
+    # vector, an index t; HS a slice as wide as hs.width of its memory and dimension
     improvised = []
     improvise = hs.improvise
 
